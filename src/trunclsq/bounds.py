@@ -27,23 +27,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSketch,
-    IllConditionedTruncation,
-    InvalidTruncation,
-    NoSpectralGap,
-    RankDeficient,
-    ZeroMatrix,
-)
+from .errors import DegenerateSketch, NoSpectralGap, RankDeficient, ZeroMatrix
 from .linalg import (
     ThinSVD,
     TruncatedFactorization,
     as_matrix,
     as_vector,
+    leading_factors,
+    pseudo_inverse,
+    reconstruct,
+    solve_factored,
     spectral_norm,
     thin_svd,
+    truncate,
 )
-from .regression import SIGMA_RATIO_FLOOR
+from .regression import require_invertible
 from .sketch import RngSeed
 from .subspace import approx_truncated_svd, power_basis_from_sketch
 
@@ -139,9 +137,7 @@ def gap_profile(A: np.ndarray, k: int, factorization: ThinSVD | None = None) -> 
     """Measure the spectral profile of ``(A, k)`` from a thin SVD."""
     A = as_matrix(A, "A")
     F = factorization if factorization is not None else thin_svd(A)
-    k = int(k)
-    if not 1 <= k <= F.rank:
-        raise InvalidTruncation(f"k={k} must satisfy 1 <= k <= rank ({F.rank})")
+    k = leading_factors(F, k).k
     sigma_1 = float(F.sigma[0])
     sigma_k = float(F.sigma[k - 1])
     sigma_k_plus_1 = float(F.sigma[k]) if k < F.rank else 0.0
@@ -269,8 +265,7 @@ def subspace_capture_bound(A: np.ndarray, S: np.ndarray, k: int, p: int) -> Boun
     if p < 0:
         raise ValueError(f"power-iteration depth must be nonnegative, got {p}")
     F = thin_svd(A)
-    if not 1 <= k <= F.rank:
-        raise InvalidTruncation(f"k={k} must satisfy 1 <= k <= rank ({F.rank})")
+    head = leading_factors(F, k)
     if S.shape != (A.shape[1], k):
         raise ValueError(
             f"sketch must be {A.shape[1]}x{k} to match (columns of A, k), got {S.shape}"
@@ -279,7 +274,7 @@ def subspace_capture_bound(A: np.ndarray, S: np.ndarray, k: int, p: int) -> Boun
     label = "sketched-subspace capture"
     if F.rank == k:
         return _report(label, 0.0, 0.0, tol)
-    head_cross = F.V[:, :k].T @ S
+    head_cross = head.V.T @ S
     head_sigma = np.linalg.svd(head_cross, compute_uv=False)
     sigma_k_head = float(head_sigma[-1])
     if sigma_k_head == 0.0:
@@ -288,7 +283,7 @@ def subspace_capture_bound(A: np.ndarray, S: np.ndarray, k: int, p: int) -> Boun
         Q = power_basis_from_sketch(A, S, p)
     except RankDeficient as exc:
         raise DegenerateSketch(f"sketch produced a rank-deficient power product: {exc}") from exc
-    distance = projection_distance(F.U[:, :k], Q)
+    distance = projection_distance(head.U, Q)
     tail_cross = F.V[:, k:].T @ S
     sigma_1_tail = float(np.linalg.svd(tail_cross, compute_uv=False)[0])
     gamma_k = float(F.sigma[k] / F.sigma[k - 1])
@@ -317,29 +312,22 @@ def error_chain(
     A = as_matrix(A, "A")
     b = as_vector(b, "b", dim=A.shape[0])
     F = thin_svd(A)
-    k = int(k)
-    if not 1 <= k <= F.rank:
-        raise InvalidTruncation(f"k={k} must satisfy 1 <= k <= rank ({F.rank})")
+    exact = leading_factors(F, k)
+    k = exact.k
     fact = approx_truncated_svd(A, k, p, seed)
-    if fact.sigma[-1] < SIGMA_RATIO_FLOOR * fact.sigma[0]:
-        raise IllConditionedTruncation(
-            f"recovered sigma_k = {fact.sigma[-1]:.3e} is too small to invert"
-        )
+    require_invertible(fact)
     sigma_1 = float(F.sigma[0])
     sigma_k = float(F.sigma[k - 1])
     sigma_k_sketch = float(fact.sigma[-1])
-    U_k = F.U[:, :k]
-    distance = projection_distance(U_k, fact.U)
+    distance = projection_distance(exact.U, fact.U)
     rhs_norm = float(np.linalg.norm(b))
 
-    x_exact = F.V[:, :k] @ ((U_k.T @ b) / F.sigma[:k])
-    x_sketch = fact.V @ ((fact.U.T @ b) / fact.sigma)
+    x_exact = solve_factored(exact, b)
+    x_sketch = solve_factored(fact, b)
     delta_measured = float(np.linalg.norm(A @ (x_sketch - x_exact)))
     delta_bound = 2.0 * sigma_1**2 / (sigma_k_sketch * sigma_k) * distance * rhs_norm
 
-    exact_block = (U_k * F.sigma[:k]) @ F.V[:, :k].T
-    sketch_block = (fact.U * fact.sigma) @ fact.V.T
-    block_gap = float(spectral_norm(sketch_block - exact_block))
+    block_gap = float(spectral_norm(reconstruct(fact) - reconstruct(exact)))
 
     def tol_for(bound: float) -> float:
         return CERTIFICATE_TOLERANCE * (1.0 + bound)
@@ -380,21 +368,12 @@ def lower_bound_instance(
     if approx.k != k:
         raise ValueError(f"approximation level {approx.k} does not match k={k}")
     F = thin_svd(A)
-    if not 1 <= k < F.rank:
-        raise InvalidTruncation(
-            f"k={k} must satisfy 1 <= k < rank ({F.rank}) to leave a nonzero tail"
-        )
+    exact = truncate(F, k)
     if approx.U.shape != (A.shape[0], k) or approx.V.shape != (A.shape[1], k):
         raise ValueError("approximation factor shapes do not match A")
-    if approx.sigma[-1] < SIGMA_RATIO_FLOOR * approx.sigma[0]:
-        raise IllConditionedTruncation(
-            f"approximate sigma_k = {approx.sigma[-1]:.3e} is too small to invert"
-        )
-    U_k = F.U[:, :k]
-    sigma_k = F.sigma[:k]
-    V_k = F.V[:, :k]
-    exact_block = (U_k * sigma_k) @ V_k.T
-    approx_pinv = (approx.V / approx.sigma) @ approx.U.T
+    require_invertible(approx)
+    exact_block = reconstruct(exact)
+    approx_pinv = pseudo_inverse(approx)
     failure = exact_block - exact_block @ (approx_pinv @ exact_block)
     sigma_1 = float(F.sigma[0])
     try:
@@ -403,9 +382,9 @@ def lower_bound_instance(
         z = failure_svd.V[:, 0]
     except ZeroMatrix:
         epsilon_star = 0.0
-        z = V_k[:, 0]
+        z = exact.V[:, 0]
     negligible = epsilon_star <= NEGLIGIBLE_SEPARATION
     if negligible:
-        z = V_k[:, 0]
+        z = exact.V[:, 0]
     b = exact_block @ z
     return AdversarialInstance(b=b, epsilon_star=epsilon_star, negligible=negligible)

@@ -34,7 +34,7 @@ from .bounds import (
     subspace_capture_bound,
 )
 from .errors import TruncLsqError
-from .linalg import thin_svd
+from .linalg import solve_factored, thin_svd
 from .mmio import load_matrix, load_vector, save_matrix, save_vector
 from .regression import (
     SolveOutcome,
@@ -199,7 +199,7 @@ def _cmd_certify(config: CliConfig) -> int:
         b = instance.b
         rhs_norm = float(np.linalg.norm(b))
         exact_residual = exact_truncated_solve(A, b, k).residual_norm
-        x_approx = approx.V @ ((approx.U.T @ b) / approx.sigma)
+        x_approx = solve_factored(approx, b)
         approx_residual = float(np.linalg.norm(A @ x_approx - b))
         slack = CERTIFY_RESIDUAL_TOLERANCE * rhs_norm
         ok = (

@@ -2,10 +2,12 @@
 
 This module holds the deterministic building blocks everything else uses:
 matrix/vector validation, QR factorization, rank-revealing thin SVD,
-Moore-Penrose pseudo-inverse, a power-iteration spectral norm, and rank-k
-truncation.  Matrices are plain 2-D float64 ``numpy`` arrays and vectors are
-1-D float64 arrays; the helpers :func:`as_matrix` / :func:`as_vector` enforce
-shape and finiteness at every public entry point.
+Moore-Penrose pseudo-inverse, the exact spectral norm, and the rank-k factor
+arithmetic every solver and certificate shares: selecting the k leading
+triples, applying ``V_k diag(1/sigma_k) U_k^T`` to a vector, and rebuilding
+``U_k diag(sigma_k) V_k^T``.  Matrices are plain 2-D float64 ``numpy``
+arrays and vectors are 1-D float64 arrays; the helpers :func:`as_matrix` /
+:func:`as_vector` enforce shape and finiteness at every public entry point.
 """
 
 from __future__ import annotations
@@ -29,41 +31,27 @@ __all__ = [
     "thin_svd",
     "pseudo_inverse",
     "spectral_norm",
+    "leading_factors",
     "truncate",
     "reconstruct",
+    "solve_factored",
 ]
 
 
 @dataclass(frozen=True)
 class KernelTolerances:
-    """Numerical constants used by the kernels, collected in one record.
+    """Rank thresholds used by the factorization kernels, in one record.
 
-    orthonormality / reconstruction:
-        Acceptance thresholds (relative to the leading singular value) that
-        factorizations produced here are expected to meet.
     qr_rank_threshold:
         ``qr_factor`` declares rank deficiency when the smallest ``|R[i, i]|``
         is at most this fraction of the spectral norm of the input.
     svd_rank_factor:
         ``thin_svd`` keeps singular values above
         ``max(rows, cols) * sigma_1 * svd_rank_factor``.
-    power_start_perturbation:
-        Relative size of the alternating-sign perturbation applied to the
-        all-ones start vector of the spectral-norm power iteration.
-    power_rayleigh_rel_change:
-        The power iteration stops once the relative change of the Rayleigh
-        quotient falls below this value.
-    power_max_iterations:
-        Hard cap on power-iteration steps.
     """
 
-    orthonormality: float = 1e-10
-    reconstruction: float = 1e-10
     qr_rank_threshold: float = 1e-12
     svd_rank_factor: float = 1e-14
-    power_start_perturbation: float = 1e-3
-    power_rayleigh_rel_change: float = 1e-12
-    power_max_iterations: int = 10_000
 
 
 TOLERANCES = KernelTolerances()
@@ -207,61 +195,60 @@ def thin_svd(M: np.ndarray) -> ThinSVD:
     return ThinSVD(U=U, sigma=s, V=V, rank=rank)
 
 
-def pseudo_inverse(F: ThinSVD) -> np.ndarray:
+def pseudo_inverse(F: ThinSVD | TruncatedFactorization) -> np.ndarray:
     """Moore-Penrose pseudo-inverse ``V @ diag(1/sigma) @ U.T`` of the
     factored matrix, with shape n-by-m."""
     return (F.V / F.sigma) @ F.U.T
 
 
 def spectral_norm(M: np.ndarray) -> float:
-    """Largest singular value of ``M`` via power iteration on ``M.T @ M``.
+    """Largest singular value of ``M``, read off its full singular-value
+    decomposition (``numpy.linalg.norm(M, 2)``); 0.0 for an all-zero matrix.
 
-    The start vector is the normalized all-ones vector perturbed by an
-    alternating-sign pattern of relative size ``power_start_perturbation``;
-    iteration stops when the relative change of the Rayleigh quotient drops
-    below ``power_rayleigh_rel_change`` or after ``power_max_iterations``
-    steps.  Returns 0.0 for an all-zero matrix.
+    Exact to working precision on every spectrum, clustered top singular
+    values included, so a certificate's measured side is never underestimated.
     """
-    M = as_matrix(M, "M")
-    if not M.any():
-        return 0.0
-    n = M.shape[1]
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    x = 1.0 + TOLERANCES.power_start_perturbation * signs
-    x /= np.linalg.norm(x)
-    rayleigh = -1.0
-    for _ in range(TOLERANCES.power_max_iterations):
-        y = M.T @ (M @ x)
-        current = float(x @ y)
-        norm_y = float(np.linalg.norm(y))
-        if norm_y == 0.0:
-            # The iterate landed exactly in the null space; the only way the
-            # deterministic start does this is a zero product.
-            return 0.0
-        x = y / norm_y
-        if rayleigh >= 0.0 and abs(current - rayleigh) <= TOLERANCES.power_rayleigh_rel_change * current:
-            rayleigh = current
-            break
-        rayleigh = current
-    return float(np.sqrt(rayleigh))
+    return float(np.linalg.norm(as_matrix(M, "M"), 2))
 
 
-def truncate(F: ThinSVD, k: int) -> TruncatedFactorization:
-    """Leading rank-k block of a thin SVD (the best rank-k approximation).
+def leading_factors(F: ThinSVD, k: int) -> TruncatedFactorization:
+    """The k leading singular triples of a thin SVD, tagged ``"exact"``.
 
-    Requires ``1 <= k < F.rank``; anything else raises
-    :class:`InvalidTruncation`.
+    Requires ``1 <= k <= F.rank``; anything else raises
+    :class:`InvalidTruncation`.  ``k == F.rank`` keeps every triple.
     """
     k = int(k)
-    if not 1 <= k < F.rank:
+    if not 1 <= k <= F.rank:
         raise InvalidTruncation(
-            f"truncation level k={k} must satisfy 1 <= k < rank ({F.rank})"
+            f"truncation level k={k} must satisfy 1 <= k <= rank ({F.rank})"
         )
     return TruncatedFactorization(
         U=F.U[:, :k], sigma=F.sigma[:k], V=F.V[:, :k], k=k, kind="exact"
     )
 
 
+def truncate(F: ThinSVD, k: int) -> TruncatedFactorization:
+    """Leading rank-k block of a thin SVD (the best rank-k approximation).
+
+    The strict form of :func:`leading_factors`: it also refuses ``k ==
+    F.rank``, so the truncation always drops a nonzero tail.  Requires
+    ``1 <= k < F.rank``; anything else raises :class:`InvalidTruncation`.
+    """
+    k = int(k)
+    if k >= F.rank:
+        raise InvalidTruncation(
+            f"truncation level k={k} must satisfy 1 <= k < rank ({F.rank}) "
+            "to leave a nonzero tail"
+        )
+    return leading_factors(F, k)
+
+
 def reconstruct(fact: TruncatedFactorization) -> np.ndarray:
     """Materialize ``U @ diag(sigma) @ V.T`` from a factor triple."""
     return (fact.U * fact.sigma) @ fact.V.T
+
+
+def solve_factored(F: ThinSVD | TruncatedFactorization, b: np.ndarray) -> np.ndarray:
+    """Apply the pseudo-inverse of the factored matrix to ``b`` without
+    forming it: ``x = V diag(1/sigma) U^T b``, evaluated right to left."""
+    return F.V @ ((F.U.T @ b) / F.sigma)

@@ -2,7 +2,9 @@
 
 Four solvers share one pattern — expand the right-hand side in the left
 singular basis, damp or drop components, map back through the right singular
-basis:
+basis.  The three that leave every kept component undamped share one
+apply step, :func:`trunclsq.linalg.solve_factored`, which computes
+``x = V @ ((U^T b) / sigma)`` on the kept triples:
 
 * :func:`exact_truncated_solve` keeps the k leading singular triples of A.
 * :func:`approx_truncated_solve` does the same on the sketched rank-k
@@ -23,14 +25,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedTruncation, InvalidTruncation
-from .linalg import ThinSVD, as_matrix, as_vector, thin_svd
+from .errors import IllConditionedTruncation
+from .linalg import (
+    ThinSVD,
+    TruncatedFactorization,
+    as_matrix,
+    as_vector,
+    leading_factors,
+    solve_factored,
+    thin_svd,
+)
 from .sketch import RngSeed
 from .subspace import approx_truncated_svd
 
 __all__ = [
     "SolveOutcome",
     "SIGMA_RATIO_FLOOR",
+    "require_invertible",
     "exact_truncated_solve",
     "approx_truncated_solve",
     "tikhonov_solve",
@@ -84,13 +95,15 @@ def _outcome(
     )
 
 
-def _checked_level(F: ThinSVD, k: int) -> int:
-    k = int(k)
-    if not 1 <= k <= F.rank:
-        raise InvalidTruncation(
-            f"truncation level k={k} must satisfy 1 <= k <= rank ({F.rank})"
+def require_invertible(fact: TruncatedFactorization) -> None:
+    """Raise :class:`IllConditionedTruncation` when the k-th singular value
+    of ``fact`` falls below ``SIGMA_RATIO_FLOOR`` times the first."""
+    floor = SIGMA_RATIO_FLOOR * fact.sigma[0]
+    if fact.sigma[-1] < floor:
+        raise IllConditionedTruncation(
+            f"recovered sigma_k = {fact.sigma[-1]:.3e} is below "
+            f"{SIGMA_RATIO_FLOOR:g} * sigma_1 = {floor:.3e}"
         )
-    return k
 
 
 def exact_truncated_solve(
@@ -110,10 +123,9 @@ def exact_truncated_solve(
     b = as_vector(b, "b", dim=A.shape[0])
     started = time.perf_counter()
     F = factorization if factorization is not None else thin_svd(A)
-    k = _checked_level(F, k)
-    coefficients = (F.U[:, :k].T @ b) / F.sigma[:k]
-    x = F.V[:, :k] @ coefficients
-    return _outcome("exact_truncated", A, b, x, k, None, started)
+    fact = leading_factors(F, k)
+    x = solve_factored(fact, b)
+    return _outcome("exact_truncated", A, b, x, fact.k, None, started)
 
 
 def approx_truncated_solve(
@@ -131,12 +143,8 @@ def approx_truncated_solve(
     b = as_vector(b, "b", dim=A.shape[0])
     started = time.perf_counter()
     fact = approx_truncated_svd(A, k, p, seed)
-    if fact.sigma[-1] < SIGMA_RATIO_FLOOR * fact.sigma[0]:
-        raise IllConditionedTruncation(
-            f"recovered sigma_k = {fact.sigma[-1]:.3e} is below "
-            f"{SIGMA_RATIO_FLOOR:g} * sigma_1 = {SIGMA_RATIO_FLOOR * fact.sigma[0]:.3e}"
-        )
-    x = fact.V @ ((fact.U.T @ b) / fact.sigma)
+    require_invertible(fact)
+    x = solve_factored(fact, b)
     return _outcome("approx_truncated", A, b, x, int(k), int(p), started)
 
 
@@ -175,5 +183,5 @@ def full_ls_solve(
     b = as_vector(b, "b", dim=A.shape[0])
     started = time.perf_counter()
     F = factorization if factorization is not None else thin_svd(A)
-    x = F.V @ ((F.U.T @ b) / F.sigma)
+    x = solve_factored(F, b)
     return _outcome("full_ls", A, b, x, None, None, started)

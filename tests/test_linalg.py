@@ -50,7 +50,7 @@ class TestValidation:
 class TestTolerances:
     def test_config_record_is_frozen(self):
         with pytest.raises(AttributeError):
-            TOLERANCES.orthonormality = 1.0
+            TOLERANCES.qr_rank_threshold = 1.0
 
     def test_expected_defaults(self):
         assert TOLERANCES == KernelTolerances()
@@ -242,6 +242,16 @@ class TestSpectralNorm:
     def test_large_scale_values(self):
         M = np.diag([3e8, 2e8])
         assert_allclose(spectral_norm(M), 3e8, rtol=1e-8)
+
+    def test_clustered_top_singular_values(self):
+        # Forty singular values within 1e-4 of 1: a power iteration stopped
+        # on the Rayleigh quotient reads this norm about 3e-5 too low.
+        rng = np.random.default_rng(15)
+        U = np.linalg.qr(rng.standard_normal((60, 40)))[0]
+        V = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+        sigma = 1.0 + 1e-4 * np.sort(rng.random(40))[::-1]
+        M = (U * sigma) @ V.T
+        assert_allclose(spectral_norm(M), spectral_norm_oracle(M), rtol=1e-12)
 
 
 class TestTruncate:
