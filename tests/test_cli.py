@@ -336,6 +336,39 @@ class TestErrorPaths:
         code, _, err = run_main(capsys, ["exact", matrix_path, rhs_path, "--k", "9"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["exact", "A", "b", "--k", "0"], "exact requires --k >= 1"),
+            (["solve", "A", "b", "--k", "2", "--p", "-1"], "--p must be nonnegative"),
+            (
+                ["solve", "A", "b", "--k", "2", "--epsilon", "2", "--delta", "0.1"],
+                "--epsilon must lie in (0, 1]",
+            ),
+            (
+                ["solve", "A", "b", "--k", "2", "--epsilon", "0.1", "--delta", "0"],
+                "--delta must lie in (0, 1]",
+            ),
+            (["tikhonov", "A", "b"], "tikhonov requires --lambda"),
+            (["bench", "--k", "3", "--seeds-per-n", "0"], "--seeds-per-n must be positive"),
+            (["bench", "--k", "3", "--jobs", "0"], "--jobs must be positive"),
+            (["bench", "--k", "3", "--noise", "-1"], "--noise must be nonnegative"),
+            (
+                ["gen", "--n", "20", "--k", "3", "--gamma", "1.5", "--output", "out"],
+                "--gamma must lie in (0, 1)",
+            ),
+            (["gen", "--n", "1", "--k", "1", "--output", "out"], "gen requires --n >= 2"),
+            (["gen", "--n", "3", "--k", "3", "--output", "out"], "gen requires n > k"),
+        ],
+    )
+    def test_usage_check_exits_two_with_message(self, capsys, argv, fragment):
+        # Usage checks run before any file is read or written, so the paths
+        # and prefixes above are never touched.
+        code, out, err = run_main(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert fragment in err
+
 
 class TestEntryPoints:
     def test_matrix_loader_is_reexported(self):
