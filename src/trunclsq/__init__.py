@@ -51,7 +51,6 @@ from .linalg import (
     QRFactors,
     ThinSVD,
     TruncatedFactorization,
-    matmul,
     pseudo_inverse,
     qr_factor,
     reconstruct,
@@ -92,7 +91,6 @@ __all__ = [
     "ThinSVD",
     "QRFactors",
     "TruncatedFactorization",
-    "matmul",
     "qr_factor",
     "thin_svd",
     "pseudo_inverse",

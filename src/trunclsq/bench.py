@@ -39,14 +39,13 @@ __all__ = [
     "run_experiment",
 ]
 
-CSV_HEADER = "n,k,p,seed,objective_error,solution_error,time_exact_s,time_approx_s"
-
 # Stream used for the solver's sketch, far from the generator streams 0..2.
 SKETCH_STREAM_OFFSET = 10_000
 
 _UINT64_MASK = (1 << 64) - 1
 _CSV_FIELDS = ("n", "k", "p", "seed", "objective_error", "solution_error",
                "time_exact_s", "time_approx_s")
+CSV_HEADER = ",".join(_CSV_FIELDS)
 
 
 @dataclass(frozen=True)

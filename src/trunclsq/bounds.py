@@ -159,6 +159,12 @@ def _check_unit_interval(value: float, name: str) -> float:
 
 
 def _depth_from_logs(log_numerator: float, gamma_k: float) -> int:
+    if gamma_k >= 1.0:
+        raise NoSpectralGap(
+            "gamma_k = 1: the tail ties the head, no power depth separates them"
+        )
+    if gamma_k == 0.0:
+        return 0
     # Both logs are negative: the ratio is the smallest real depth that
     # closes the target, and the ceiling is the smallest valid integer.
     denominator = 2.0 * math.log(gamma_k)
@@ -182,13 +188,6 @@ def choose_power_depth(epsilon: float, delta: float, profile: GapProfile) -> int
     """
     epsilon = _check_unit_interval(epsilon, "epsilon")
     delta = _check_unit_interval(delta, "delta")
-    gamma_k = profile.gamma_k
-    if gamma_k >= 1.0:
-        raise NoSpectralGap(
-            "gamma_k = 1: the tail ties the head, no power depth separates them"
-        )
-    if gamma_k == 0.0:
-        return 0
     log_numerator = (
         math.log(epsilon)
         + math.log(delta)
@@ -197,7 +196,7 @@ def choose_power_depth(epsilon: float, delta: float, profile: GapProfile) -> int
         - math.log(12.0)
         - math.log(profile.n)
     )
-    return _depth_from_logs(log_numerator, gamma_k)
+    return _depth_from_logs(log_numerator, profile.gamma_k)
 
 
 def projection_power_depth(epsilon: float, delta: float, profile: GapProfile) -> int:
@@ -206,15 +205,8 @@ def projection_power_depth(epsilon: float, delta: float, profile: GapProfile) ->
     ``ceil(ln(eps * delta / (4 n)) / (2 ln gamma_k))``."""
     epsilon = _check_unit_interval(epsilon, "epsilon")
     delta = _check_unit_interval(delta, "delta")
-    gamma_k = profile.gamma_k
-    if gamma_k >= 1.0:
-        raise NoSpectralGap(
-            "gamma_k = 1: the tail ties the head, no power depth separates them"
-        )
-    if gamma_k == 0.0:
-        return 0
     log_numerator = math.log(epsilon) + math.log(delta) - math.log(4.0) - math.log(profile.n)
-    return _depth_from_logs(log_numerator, gamma_k)
+    return _depth_from_logs(log_numerator, profile.gamma_k)
 
 
 def _require_orthonormal(M: np.ndarray, name: str) -> np.ndarray:

@@ -21,7 +21,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .regression import (
 from .sketch import RngSeed, gaussian_matrix, gaussian_vector
 from .subspace import approx_truncated_svd
 
-__all__ = ["CliConfig", "UsageError", "load_matrix", "run_cli", "main"]
+__all__ = ["UsageError", "load_matrix", "main"]
 
 ENV_SEED = "TRUNCLSQ_SEED"
 # Residual slack accepted by the adversarial-separation certificate.
@@ -54,29 +53,6 @@ CERTIFY_RESIDUAL_TOLERANCE = 1e-8
 
 class UsageError(ValueError):
     """Invalid command line (maps to exit code 2)."""
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated arguments for one CLI invocation."""
-
-    command: str
-    matrix_path: str | None = None
-    rhs_path: str | None = None
-    k: int | None = None
-    p: int | None = None
-    epsilon: float | None = None
-    delta: float | None = None
-    seed: RngSeed = RngSeed(0)
-    output_path: str | None = None
-    lambdas: tuple[float, ...] | None = None
-    trials: int = 100
-    jobs: int = 1
-    n: int | None = None
-    n_values: tuple[int, ...] = (100, 200, 300, 400, 500)
-    seeds_per_n: int = 20
-    gamma: float = 0.99
-    noise: float = 0.2
 
 
 def _fmt(value: float) -> str:
@@ -92,11 +68,11 @@ def _require(condition: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def _emit_outcome(outcome: SolveOutcome, config: CliConfig) -> None:
+def _emit_outcome(outcome: SolveOutcome, args: argparse.Namespace) -> None:
     """Print the solution (or save it to --output) plus the summary lines."""
-    if config.output_path is not None:
-        save_vector(outcome.x, config.output_path)
-        print(f"solution written to {config.output_path}")
+    if args.output is not None:
+        save_vector(outcome.x, args.output)
+        print(f"solution written to {args.output}")
     else:
         for value in outcome.x:
             print(_fmt(value))
@@ -107,38 +83,38 @@ def _emit_outcome(outcome: SolveOutcome, config: CliConfig) -> None:
     if outcome.p is not None:
         print(f"p = {outcome.p}")
     if outcome.method == "approx_truncated":
-        print(f"seed = {_fmt_seed(config.seed)}")
+        print(f"seed = {_fmt_seed(args.seed)}")
 
 
-def _cmd_solve(config: CliConfig) -> int:
-    A = load_matrix(config.matrix_path)
-    b = load_vector(config.rhs_path)
-    p = config.p
+def _cmd_solve(args: argparse.Namespace) -> int:
+    A = load_matrix(args.matrix)
+    b = load_vector(args.rhs)
+    p = args.p
     if p is None:
-        profile = gap_profile(A, config.k)
-        p = choose_power_depth(config.epsilon, config.delta, profile)
-    outcome = approx_truncated_solve(A, b, config.k, p, config.seed)
-    _emit_outcome(outcome, config)
+        profile = gap_profile(A, args.k)
+        p = choose_power_depth(args.epsilon, args.delta, profile)
+    outcome = approx_truncated_solve(A, b, args.k, p, args.seed)
+    _emit_outcome(outcome, args)
     return 0
 
 
-def _cmd_exact(config: CliConfig) -> int:
-    A = load_matrix(config.matrix_path)
-    b = load_vector(config.rhs_path)
-    outcome = exact_truncated_solve(A, b, config.k)
-    _emit_outcome(outcome, config)
+def _cmd_exact(args: argparse.Namespace) -> int:
+    A = load_matrix(args.matrix)
+    b = load_vector(args.rhs)
+    outcome = exact_truncated_solve(A, b, args.k)
+    _emit_outcome(outcome, args)
     return 0
 
 
-def _cmd_tikhonov(config: CliConfig) -> int:
-    A = load_matrix(config.matrix_path)
-    b = load_vector(config.rhs_path)
+def _cmd_tikhonov(args: argparse.Namespace) -> int:
+    A = load_matrix(args.matrix)
+    b = load_vector(args.rhs)
     F = thin_svd(A)
-    lambdas = config.lambdas
+    lambdas = args.lambdas
     if len(lambdas) == 1:
         lambdas = lambdas * F.rank
     outcome = tikhonov_solve(A, b, np.asarray(lambdas, dtype=np.float64), factorization=F)
-    _emit_outcome(outcome, config)
+    _emit_outcome(outcome, args)
     return 0
 
 
@@ -153,68 +129,74 @@ def _certify_dims(base: RngSeed, suite: int, trial: int) -> tuple[int, int, int,
     return m, n, k, p, instance_seed
 
 
-def _cmd_certify(config: CliConfig) -> int:
-    trials = config.trials
-    base = config.seed
+def _capture_trial(trial: int, m: int, n: int, k: int, p: int, seed: int) -> list[str]:
+    A = gaussian_matrix(m, n, RngSeed(seed, 0))
+    S = gaussian_matrix(n, k, RngSeed(seed, 1))
+    report = subspace_capture_bound(A, S, k, p)
+    if report.satisfied:
+        return []
+    return [
+        f"capture-bound trial {trial}: measured {report.measured!r} "
+        f"> bound {report.bound!r} + tol"
+    ]
+
+
+def _chain_trial(trial: int, m: int, n: int, k: int, p: int, seed: int) -> list[str]:
+    A = gaussian_matrix(m, n, RngSeed(seed, 0))
+    b = gaussian_vector(m, RngSeed(seed, 1))
+    reports = error_chain(A, b, k, p, RngSeed(seed, 2))
+    return [
+        f"error-chain trial {trial} [{r.label}]: measured "
+        f"{r.measured!r} > bound {r.bound!r} + tol"
+        for r in reports
+        if not r.satisfied
+    ]
+
+
+def _separation_trial(trial: int, m: int, n: int, k: int, p: int, seed: int) -> list[str]:
+    A = gaussian_matrix(m, n, RngSeed(seed, 0))
+    approx = approx_truncated_svd(A, k, p, RngSeed(seed, 3))
+    instance = lower_bound_instance(A, approx, k)
+    b = instance.b
+    rhs_norm = float(np.linalg.norm(b))
+    exact_residual = exact_truncated_solve(A, b, k).residual_norm
+    x_approx = solve_factored(approx, b)
+    approx_residual = float(np.linalg.norm(A @ x_approx - b))
+    slack = CERTIFY_RESIDUAL_TOLERANCE * rhs_norm
+    if (
+        exact_residual <= slack
+        and approx_residual >= instance.epsilon_star * rhs_norm - slack
+    ):
+        return []
+    return [
+        f"adversarial-separation trial {trial}: exact residual "
+        f"{exact_residual!r}, approx residual {approx_residual!r}, "
+        f"separation {instance.epsilon_star!r}, rhs norm {rhs_norm!r}"
+    ]
+
+
+# One (name, trial function) pair per certificate suite.  The suite number
+# (1, 2, 3) seeds the instances, so this order is part of the output.  A trial
+# function takes (trial, m, n, k, p, seed) and returns its failure lines, an
+# empty list when the trial is satisfied.
+_CERTIFY_SUITES = (
+    ("capture-bound", _capture_trial),
+    ("error-chain", _chain_trial),
+    ("adversarial-separation", _separation_trial),
+)
+
+
+def _cmd_certify(args: argparse.Namespace) -> int:
     failures: list[str] = []
-
-    passed = 0
-    for trial in range(trials):
-        m, n, k, p, instance_seed = _certify_dims(base, 1, trial)
-        A = gaussian_matrix(m, n, RngSeed(instance_seed, 0))
-        S = gaussian_matrix(n, k, RngSeed(instance_seed, 1))
-        report = subspace_capture_bound(A, S, k, p)
-        if report.satisfied:
-            passed += 1
-        else:
-            failures.append(
-                f"capture-bound trial {trial}: measured {report.measured!r} "
-                f"> bound {report.bound!r} + tol"
-            )
-    print(f"capture-bound: {passed}/{trials} satisfied")
-
-    passed = 0
-    for trial in range(trials):
-        m, n, k, p, instance_seed = _certify_dims(base, 2, trial)
-        A = gaussian_matrix(m, n, RngSeed(instance_seed, 0))
-        b = gaussian_vector(m, RngSeed(instance_seed, 1))
-        reports = error_chain(A, b, k, p, RngSeed(instance_seed, 2))
-        if all(r.satisfied for r in reports):
-            passed += 1
-        else:
-            for r in reports:
-                if not r.satisfied:
-                    failures.append(
-                        f"error-chain trial {trial} [{r.label}]: measured "
-                        f"{r.measured!r} > bound {r.bound!r} + tol"
-                    )
-    print(f"error-chain: {passed}/{trials} satisfied")
-
-    passed = 0
-    for trial in range(trials):
-        m, n, k, p, instance_seed = _certify_dims(base, 3, trial)
-        A = gaussian_matrix(m, n, RngSeed(instance_seed, 0))
-        approx = approx_truncated_svd(A, k, p, RngSeed(instance_seed, 3))
-        instance = lower_bound_instance(A, approx, k)
-        b = instance.b
-        rhs_norm = float(np.linalg.norm(b))
-        exact_residual = exact_truncated_solve(A, b, k).residual_norm
-        x_approx = solve_factored(approx, b)
-        approx_residual = float(np.linalg.norm(A @ x_approx - b))
-        slack = CERTIFY_RESIDUAL_TOLERANCE * rhs_norm
-        ok = (
-            exact_residual <= slack
-            and approx_residual >= instance.epsilon_star * rhs_norm - slack
-        )
-        if ok:
-            passed += 1
-        else:
-            failures.append(
-                f"adversarial-separation trial {trial}: exact residual "
-                f"{exact_residual!r}, approx residual {approx_residual!r}, "
-                f"separation {instance.epsilon_star!r}, rhs norm {rhs_norm!r}"
-            )
-    print(f"adversarial-separation: {passed}/{trials} satisfied")
+    for suite, (name, run_trial) in enumerate(_CERTIFY_SUITES, start=1):
+        passed = 0
+        for trial in range(args.trials):
+            lines = run_trial(trial, *_certify_dims(args.seed, suite, trial))
+            if lines:
+                failures.extend(lines)
+            else:
+                passed += 1
+        print(f"{name}: {passed}/{args.trials} satisfied")
 
     if failures:
         for line in failures:
@@ -225,21 +207,21 @@ def _cmd_certify(config: CliConfig) -> int:
     return 0
 
 
-def _cmd_bench(config: CliConfig) -> int:
+def _cmd_bench(args: argparse.Namespace) -> int:
     report = run_experiment(
-        list(config.n_values),
-        config.k,
+        list(args.n_values),
+        args.k,
         p_rule=None,
-        gamma_target=config.gamma,
-        seeds_per_n=config.seeds_per_n,
-        base_seed=config.seed,
-        noise=config.noise,
-        jobs=config.jobs,
+        gamma_target=args.gamma,
+        seeds_per_n=args.seeds_per_n,
+        base_seed=args.seed,
+        noise=args.noise,
+        jobs=args.jobs,
     )
     failed = sum(1 for row in report.rows if row.error is not None)
-    if config.output_path is not None:
-        report.write_csv(config.output_path)
-        print(f"{len(report.rows)} rows written to {config.output_path}")
+    if args.output is not None:
+        report.write_csv(args.output)
+        print(f"{len(report.rows)} rows written to {args.output}")
     else:
         sys.stdout.write(report.to_csv())
     if failed:
@@ -247,18 +229,18 @@ def _cmd_bench(config: CliConfig) -> int:
     return 0
 
 
-def _cmd_gen(config: CliConfig) -> int:
-    problem = synthetic_problem(config.n, config.k, config.gamma, config.noise, config.seed)
-    matrix_path = f"{config.output_path}_A.mtx"
-    rhs_path = f"{config.output_path}_b.mtx"
+def _cmd_gen(args: argparse.Namespace) -> int:
+    problem = synthetic_problem(args.n, args.k, args.gamma, args.noise, args.seed)
+    matrix_path = f"{args.output}_A.mtx"
+    rhs_path = f"{args.output}_b.mtx"
     save_matrix(problem.A, matrix_path)
     save_vector(problem.b, rhs_path)
     print(f"matrix written to {matrix_path}")
     print(f"rhs written to {rhs_path}")
-    print(f"n = {config.n}")
-    print(f"k = {config.k}")
+    print(f"n = {args.n}")
+    print(f"k = {args.k}")
     print(f"gamma_k = {_fmt(problem.gap_profile.gamma_k)}")
-    print(f"seed = {_fmt_seed(config.seed)}")
+    print(f"seed = {_fmt_seed(args.seed)}")
     return 0
 
 
@@ -272,58 +254,48 @@ _HANDLERS = {
 }
 
 
-def _validate(config: CliConfig) -> None:
-    command = config.command
-    _require(command in _HANDLERS, f"unknown command {command!r}")
-    if command in ("solve", "exact", "tikhonov"):
-        _require(config.matrix_path is not None, f"{command} requires a matrix file")
-        _require(config.rhs_path is not None, f"{command} requires a right-hand-side file")
+def _validate(args: argparse.Namespace) -> None:
+    """Usage checks argparse cannot express; a failure raises :class:`UsageError`."""
+    command = args.command
     if command in ("solve", "exact", "bench", "gen"):
-        _require(config.k is not None and config.k >= 1, f"{command} requires --k >= 1")
+        _require(args.k >= 1, f"{command} requires --k >= 1")
     if command == "solve":
         _require(
-            config.p is not None
-            or (config.epsilon is not None and config.delta is not None),
+            args.p is not None
+            or (args.epsilon is not None and args.delta is not None),
             "solve requires --p, or both --epsilon and --delta to pick it",
         )
-        if config.p is not None:
-            _require(config.p >= 0, "--p must be nonnegative")
+        if args.p is not None:
+            _require(args.p >= 0, "--p must be nonnegative")
+        if args.epsilon is not None:
+            _require(0.0 < args.epsilon <= 1.0, "--epsilon must lie in (0, 1]")
+        if args.delta is not None:
+            _require(0.0 < args.delta <= 1.0, "--delta must lie in (0, 1]")
     if command == "tikhonov":
         _require(
-            config.lambdas is not None and len(config.lambdas) >= 1,
+            args.lambdas is not None and len(args.lambdas) >= 1,
             "tikhonov requires --lambda (a scalar or comma-separated list)",
         )
         _require(
-            all(v >= 0.0 for v in config.lambdas),
+            all(v >= 0.0 for v in args.lambdas),
             "--lambda values must be nonnegative",
         )
     if command == "certify":
-        _require(config.trials >= 1, "--trials must be positive")
+        _require(args.trials >= 1, "--trials must be positive")
     if command == "bench":
-        _require(len(config.n_values) >= 1, "--n-values must be nonempty")
+        _require(len(args.n_values) >= 1, "--n-values must be nonempty")
         _require(
-            all(n > config.k for n in config.n_values),
-            f"every n must exceed k={config.k}",
+            all(n > args.k for n in args.n_values),
+            f"every n must exceed k={args.k}",
         )
-        _require(config.seeds_per_n >= 1, "--seeds-per-n must be positive")
-        _require(config.jobs >= 1, "--jobs must be positive")
+        _require(args.seeds_per_n >= 1, "--seeds-per-n must be positive")
+        _require(args.jobs >= 1, "--jobs must be positive")
     if command == "gen":
-        _require(config.n is not None and config.n >= 2, "gen requires --n >= 2")
-        _require(config.n > config.k, "gen requires n > k")
-        _require(config.output_path is not None, "gen requires --output (a file prefix)")
+        _require(args.n >= 2, "gen requires --n >= 2")
+        _require(args.n > args.k, "gen requires n > k")
     if command in ("bench", "gen"):
-        _require(0.0 < config.gamma < 1.0, "--gamma must lie in (0, 1)")
-        _require(config.noise >= 0.0, "--noise must be nonnegative")
-    if config.epsilon is not None:
-        _require(0.0 < config.epsilon <= 1.0, "--epsilon must lie in (0, 1]")
-    if config.delta is not None:
-        _require(0.0 < config.delta <= 1.0, "--delta must lie in (0, 1]")
-
-
-def run_cli(config: CliConfig) -> int:
-    """Validate and execute one CLI invocation; returns the exit code."""
-    _validate(config)
-    return _HANDLERS[config.command](config)
+        _require(0.0 < args.gamma < 1.0, "--gamma must lie in (0, 1)")
+        _require(args.noise >= 0.0, "--noise must be nonnegative")
 
 
 def _parse_seed(text: str | None) -> RngSeed:
@@ -412,37 +384,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv=None) -> CliConfig:
-    """Parse an argv list into a validated :class:`CliConfig`."""
-    namespace = _build_parser().parse_args(argv)
-    get = lambda name, default=None: getattr(namespace, name, default)  # noqa: E731
-    config = CliConfig(
-        command=namespace.command,
-        matrix_path=get("matrix"),
-        rhs_path=get("rhs"),
-        k=get("k"),
-        p=get("p"),
-        epsilon=get("epsilon"),
-        delta=get("delta"),
-        seed=_parse_seed(get("seed")),
-        output_path=get("output"),
-        lambdas=_parse_lambdas(get("lambdas")),
-        trials=get("trials", 100),
-        jobs=get("jobs", 1),
-        n=get("n"),
-        n_values=_parse_n_values(get("n_values", "100,200,300,400,500")),
-        seeds_per_n=get("seeds_per_n", 20),
-        gamma=get("gamma", 0.99),
-        noise=get("noise", 0.2),
-    )
-    return config
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse an argv list; ``seed``, ``lambdas`` and ``n_values`` come back converted."""
+    args = _build_parser().parse_args(argv)
+    args.seed = _parse_seed(getattr(args, "seed", None))
+    if hasattr(args, "lambdas"):
+        args.lambdas = _parse_lambdas(args.lambdas)
+    if hasattr(args, "n_values"):
+        args.n_values = _parse_n_values(args.n_values)
+    return args
 
 
 def main(argv=None) -> int:
     """Console entry point: parse, run, map failures to exit codes."""
     try:
-        config = parse_args(argv)
-        return run_cli(config)
+        args = parse_args(argv)
+        _validate(args)
+        return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

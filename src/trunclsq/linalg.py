@@ -26,7 +26,6 @@ __all__ = [
     "TruncatedFactorization",
     "as_matrix",
     "as_vector",
-    "matmul",
     "qr_factor",
     "thin_svd",
     "pseudo_inverse",
@@ -119,18 +118,6 @@ class TruncatedFactorization:
     V: np.ndarray
     k: int
     kind: str
-
-
-def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Standard matrix product with dimension validation."""
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(
-            f"inner dimensions must agree: A is {A.shape[0]}x{A.shape[1]}, "
-            f"B is {B.shape[0]}x{B.shape[1]}"
-        )
-    return A @ B
 
 
 def qr_factor(M: np.ndarray, rank_threshold: float | None = None) -> QRFactors:

@@ -10,21 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def triple_loop_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Naive O(m*n*k) reference product."""
-    m, inner = A.shape
-    inner2, n = B.shape
-    assert inner == inner2
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(inner):
-                acc += A[i, t] * B[t, j]
-            out[i, j] = acc
-    return out
-
-
 def gram_singular_values(M: np.ndarray) -> np.ndarray:
     """Singular values via eigenvalues of the Gram matrix M^T M (descending).
 

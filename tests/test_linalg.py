@@ -8,13 +8,11 @@ from helpers import (
     gram_singular_values,
     rank_k_matrix,
     spectral_norm_oracle,
-    triple_loop_matmul,
 )
 from trunclsq import (
     InvalidTruncation,
     RankDeficient,
     ZeroMatrix,
-    matmul,
     pseudo_inverse,
     qr_factor,
     reconstruct,
@@ -56,21 +54,6 @@ class TestTolerances:
         assert TOLERANCES == KernelTolerances()
         assert TOLERANCES.qr_rank_threshold == 1e-12
         assert TOLERANCES.svd_rank_factor == 1e-14
-
-
-class TestMatmul:
-    def test_diagonal_product(self):
-        assert_allclose(matmul(np.diag([2.0, 3.0]), np.diag([5.0, 7.0])), np.diag([10.0, 21.0]))
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(11)
-        A = rng.standard_normal((4, 3))
-        B = rng.standard_normal((3, 2))
-        assert_allclose(matmul(A, B), triple_loop_matmul(A, B), atol=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="inner"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
 class TestQrFactor:
