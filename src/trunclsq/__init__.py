@@ -4,9 +4,10 @@ The package solves ``min_x ||A_k x - b||`` — least squares against the best
 rank-k approximation of A — three ways:
 
 * exactly, through the thin SVD (:func:`exact_truncated_solve`);
-* fast, through randomized subspace power iteration
-  (:func:`approx_truncated_solve`), with the depth chosen by
-  :func:`choose_power_depth` to meet an accuracy/confidence target;
+* fast, through randomized subspace iteration: to an accuracy target
+  with the depth found while iterating (:func:`adaptive_truncated_solve`),
+  or at a fixed depth (:func:`approx_truncated_solve`), such as the paper's
+  worst-case depth from :func:`choose_power_depth`;
 * smoothly, with per-component damping (:func:`tikhonov_solve`).
 
 The :mod:`trunclsq.bounds` module turns the solver's guarantees into
@@ -61,6 +62,7 @@ from .linalg import (
 from .mmio import load_matrix, load_vector, save_matrix, save_vector
 from .regression import (
     SolveOutcome,
+    adaptive_truncated_solve,
     approx_truncated_solve,
     exact_truncated_solve,
     full_ls_solve,
@@ -110,6 +112,7 @@ __all__ = [
     "SolveOutcome",
     "exact_truncated_solve",
     "approx_truncated_solve",
+    "adaptive_truncated_solve",
     "tikhonov_solve",
     "full_ls_solve",
     # bounds and certificates

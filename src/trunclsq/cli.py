@@ -9,10 +9,18 @@ Subcommands::
     bench     accuracy/timing sweep, emitted as CSV
     gen       write a synthetic benchmark problem to Matrix Market files
 
+``solve --p`` runs that many power passes (:func:`approx_truncated_solve`).
+``solve --epsilon --delta`` runs :func:`adaptive_truncated_solve` instead: it
+stops once the solution has settled to the ``(epsilon, 4/3 epsilon)`` target,
+or at the depth :func:`trunclsq.bounds.choose_power_depth` gives for
+``(epsilon, delta)`` on the current Ritz values, and the printed ``p`` is the
+number of passes it ran.
+
 Matrices and vectors travel as Matrix Market files (vectors are
 single-column ``array`` files).  Exit codes: 0 success, 1 operation error,
-2 usage error.  ``--seed`` falls back to the ``TRUNCLSQ_SEED`` environment
-variable, then to 0.
+2 usage error.  On the subcommands that take ``--seed`` (``solve``,
+``certify``, ``bench``, ``gen``) it falls back to the ``TRUNCLSQ_SEED``
+environment variable, then to 0; the others never read that variable.
 """
 
 from __future__ import annotations
@@ -25,18 +33,13 @@ import sys
 import numpy as np
 
 from .bench import derive_row_seed, run_experiment, synthetic_problem
-from .bounds import (
-    choose_power_depth,
-    error_chain,
-    gap_profile,
-    lower_bound_instance,
-    subspace_capture_bound,
-)
+from .bounds import error_chain, lower_bound_instance, subspace_capture_bound
 from .errors import TruncLsqError
 from .linalg import solve_factored, thin_svd
 from .mmio import load_matrix, load_vector, save_matrix, save_vector
 from .regression import (
     SolveOutcome,
+    adaptive_truncated_solve,
     approx_truncated_solve,
     exact_truncated_solve,
     tikhonov_solve,
@@ -82,18 +85,19 @@ def _emit_outcome(outcome: SolveOutcome, args: argparse.Namespace) -> None:
         print(f"k = {outcome.k}")
     if outcome.p is not None:
         print(f"p = {outcome.p}")
-    if outcome.method == "approx_truncated":
+    if outcome.method in ("approx_truncated", "adaptive_truncated"):
         print(f"seed = {_fmt_seed(args.seed)}")
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     A = load_matrix(args.matrix)
     b = load_vector(args.rhs)
-    p = args.p
-    if p is None:
-        profile = gap_profile(A, args.k)
-        p = choose_power_depth(args.epsilon, args.delta, profile)
-    outcome = approx_truncated_solve(A, b, args.k, p, args.seed)
+    if args.p is None:
+        outcome = adaptive_truncated_solve(
+            A, b, args.k, args.epsilon, args.delta, args.seed
+        )
+    else:
+        outcome = approx_truncated_solve(A, b, args.k, args.p, args.seed)
     _emit_outcome(outcome, args)
     return 0
 
@@ -273,7 +277,7 @@ def _validate(args: argparse.Namespace) -> None:
             _require(0.0 < args.delta <= 1.0, "--delta must lie in (0, 1]")
     if command == "tikhonov":
         _require(
-            args.lambdas is not None and len(args.lambdas) >= 1,
+            args.lambdas is not None,
             "tikhonov requires --lambda (a scalar or comma-separated list)",
         )
         _require(
@@ -283,7 +287,6 @@ def _validate(args: argparse.Namespace) -> None:
     if command == "certify":
         _require(args.trials >= 1, "--trials must be positive")
     if command == "bench":
-        _require(len(args.n_values) >= 1, "--n-values must be nonempty")
         _require(
             all(n > args.k for n in args.n_values),
             f"every n must exceed k={args.k}",
@@ -345,8 +348,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="randomized truncated solve")
     add_solver_args(sp)
     sp.add_argument("--p", type=int, help="power-iteration depth")
-    sp.add_argument("--epsilon", type=float, help="accuracy target used to pick p")
-    sp.add_argument("--delta", type=float, help="failure-probability target used to pick p")
+    sp.add_argument(
+        "--epsilon", type=float, help="accuracy target: without --p, iterate until x settles to it"
+    )
+    sp.add_argument(
+        "--delta", type=float, help="failure-probability target of the worst-case depth cap"
+    )
     sp.add_argument("--seed", help="sketch seed (fallback: env TRUNCLSQ_SEED, then 0)")
 
     sp = sub.add_parser("exact", help="exact truncated solve")
@@ -385,9 +392,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    """Parse an argv list; ``seed``, ``lambdas`` and ``n_values`` come back converted."""
+    """Parse an argv list; ``seed``, ``lambdas`` and ``n_values`` come back
+    converted, on the subcommands that take them."""
     args = _build_parser().parse_args(argv)
-    args.seed = _parse_seed(getattr(args, "seed", None))
+    if hasattr(args, "seed"):
+        args.seed = _parse_seed(args.seed)
     if hasattr(args, "lambdas"):
         args.lambdas = _parse_lambdas(args.lambdas)
     if hasattr(args, "n_values"):

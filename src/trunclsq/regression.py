@@ -1,14 +1,16 @@
 """Least-squares solvers built on singular-value filtering.
 
-Four solvers share one pattern — expand the right-hand side in the left
+Five solvers share one pattern — expand the right-hand side in the left
 singular basis, damp or drop components, map back through the right singular
-basis.  The three that leave every kept component undamped share one
+basis.  The four that leave every kept component undamped share one
 apply step, :func:`trunclsq.linalg.solve_factored`, which computes
 ``x = V @ ((U^T b) / sigma)`` on the kept triples:
 
 * :func:`exact_truncated_solve` keeps the k leading singular triples of A.
 * :func:`approx_truncated_solve` does the same on the sketched rank-k
   factorization from :mod:`trunclsq.subspace`, avoiding the full SVD.
+* :func:`adaptive_truncated_solve` runs the sketched solve as subspace
+  iteration and stops once the solution has settled to an accuracy target.
 * :func:`tikhonov_solve` applies filter factors ``sigma^2/(sigma^2+lambda^2)``
   per singular component.
 * :func:`full_ls_solve` keeps every nonzero triple: the minimum-norm
@@ -20,6 +22,7 @@ recomputed from ``(A, x, b)`` rather than trusted from the solver's algebra.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -36,7 +39,7 @@ from .linalg import (
     thin_svd,
 )
 from .sketch import RngSeed
-from .subspace import approx_truncated_svd
+from .subspace import approx_truncated_svd, orthonormal_iterates
 
 __all__ = [
     "SolveOutcome",
@@ -44,6 +47,7 @@ __all__ = [
     "require_invertible",
     "exact_truncated_solve",
     "approx_truncated_solve",
+    "adaptive_truncated_solve",
     "tikhonov_solve",
     "full_ls_solve",
 ]
@@ -52,16 +56,25 @@ __all__ = [
 # anything below is refused as numerically uninvertible.
 SIGMA_RATIO_FLOOR = 1e-13
 
+# adaptive_truncated_solve re-solves after every this many passes, and
+# extrapolates the remaining change of x as a geometric series whose ratio is
+# capped below one, so that a stalled sequence is never taken as converged.
+_CHECKPOINT_PASSES = 5
+_RATE_CAP = 0.999
+
 
 @dataclass(frozen=True)
 class SolveOutcome:
     """Solution vector with its recomputed residual and timing.
 
     ``residual_norm`` is ``||A x - b||_2`` evaluated from the returned x,
-    ``rhs_norm`` is ``||b||_2``, ``method`` tags the solver, ``k``/``p`` echo
-    the truncation level and power depth where they apply, and ``wall_time``
-    is the monotonic-clock duration of the solver body (factorization
-    included, I/O excluded).
+    ``rhs_norm`` is ``||b||_2``, ``method`` tags the solver, ``k`` echoes the
+    truncation level where it applies, ``p`` is the number of power passes
+    the randomized solvers ran (the requested depth for
+    :func:`approx_truncated_solve`, the depth at which
+    :func:`adaptive_truncated_solve` stopped), and ``wall_time`` is the
+    monotonic-clock duration of the solver body (factorization included,
+    I/O excluded).
     """
 
     x: np.ndarray
@@ -146,6 +159,74 @@ def approx_truncated_solve(
     require_invertible(fact)
     x = solve_factored(fact, b)
     return _outcome("approx_truncated", A, b, x, int(k), int(p), started)
+
+
+def _relative_change(x: np.ndarray, previous: np.ndarray) -> float:
+    change = float(np.linalg.norm(x - previous))
+    size = float(np.linalg.norm(x))
+    if size > 0.0:
+        return change / size
+    return 0.0 if change == 0.0 else math.inf
+
+
+def _settled(change: float, last_change: float, epsilon: float) -> bool:
+    """Whether x is within the ``(4/3) epsilon`` solution-error target: the
+    last change is, and so is twice the change still to come, extrapolated
+    from the ratio of the last two changes."""
+    target = 4.0 / 3.0 * epsilon
+    rate = min(change / last_change, _RATE_CAP) if last_change > 0.0 else _RATE_CAP
+    return change <= target and 2.0 * change * rate / (1.0 - rate) <= target
+
+
+def adaptive_truncated_solve(
+    A: np.ndarray, b: np.ndarray, k: int, epsilon: float, delta: float, seed: RngSeed
+) -> SolveOutcome:
+    """Randomized truncated solve that picks its own depth.
+
+    Runs the subspace iteration of
+    :func:`trunclsq.subspace.orthonormal_iterates` on the sketch
+    :func:`approx_truncated_solve` draws.  Every few passes it solves on the
+    rank-k truncation of the projection ``Q Q^T A``, read off the thin SVD of
+    the cross product ``Q^T A``, and stops at the first of:
+
+    * the solution has settled: the relative change of x since the last
+      solve, and twice the change still to come (a geometric series at the
+      ratio of the last two changes), are both within ``(4/3) epsilon``, the
+      solution-error target of :func:`trunclsq.bounds.choose_power_depth`;
+    * the depth reaches that function's worst-case rule for
+      ``(epsilon, delta)``, evaluated on the current Ritz values and recomputed
+      at every solve.
+
+    ``p`` of the outcome is the number of passes run.  A tied spectrum raises
+    :class:`NoSpectralGap` like the depth rule does, a cross product of rank
+    below k raises :class:`InvalidTruncation`, and a recovered k-th singular
+    value below ``SIGMA_RATIO_FLOOR`` times the first raises
+    :class:`IllConditionedTruncation`.
+    """
+    # bounds imports this module, so its names are bound at call time.
+    from .bounds import choose_power_depth, gap_profile
+
+    A = as_matrix(A, "A")
+    b = as_vector(b, "b", dim=A.shape[0])
+    started = time.perf_counter()
+    x = change = None
+    next_solve = 0
+    for p, Q, B in orthonormal_iterates(A, k, seed):
+        if p < next_solve:
+            continue
+        ritz = thin_svd(B)
+        cap = choose_power_depth(epsilon, delta, gap_profile(A, k, factorization=ritz))
+        fact = leading_factors(ritz, k)
+        require_invertible(fact)
+        x, previous = solve_factored(fact, Q.T @ b), x
+        if previous is not None:
+            change, last_change = _relative_change(x, previous), change
+            if last_change is not None and _settled(change, last_change, epsilon):
+                break
+        if p >= cap:
+            break
+        next_solve = min(p + _CHECKPOINT_PASSES, cap)
+    return _outcome("adaptive_truncated", A, b, x, int(k), p, started)
 
 
 def tikhonov_solve(

@@ -1,6 +1,6 @@
 """Randomized subspace power iteration and the sketched truncated SVD.
 
-The range finder draws an n-by-l Gaussian sketch S, oversampled to
+The fixed-depth range finder draws an n-by-l Gaussian sketch S, oversampled to
 ``l = min(k + 4, m, n)`` columns, forms the power product ``(A A^T)^p A S``
 strictly right-to-left, and orthonormalizes the result with one QR
 factorization at the end.  The k leading left singular vectors of the small
@@ -10,9 +10,16 @@ Its rank-k factorization is then read off from the thin SVD of the k-by-n
 cross product ``Q^T A``, where fewer than k numerically nonzero singular
 values raise :class:`RankDeficient` — the m-by-n projection itself is never
 materialized.
+
+:func:`orthonormal_iterates` runs the same sketch as subspace iteration
+instead, orthonormalizing after every pass, for callers that decide the
+depth while iterating.
 """
 
 from __future__ import annotations
+
+import itertools
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -25,6 +32,7 @@ __all__ = [
     "power_basis_from_sketch",
     "power_basis",
     "approx_truncated_svd",
+    "orthonormal_iterates",
 ]
 
 # Sketch columns drawn beyond k.  The error left in the top-k subspace after
@@ -49,6 +57,10 @@ def _validate_level(A: np.ndarray, k: int) -> int:
     if not 1 <= k < min(m, n):
         raise ValueError(f"k must satisfy 1 <= k < min(rows, cols) = {min(m, n)}, got {k}")
     return k
+
+
+def _sketch_width(A: np.ndarray, k: int) -> int:
+    return min(k + _OVERSAMPLING, *A.shape)
 
 
 def power_product(A: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
@@ -109,7 +121,7 @@ def power_basis(A: np.ndarray, k: int, p: int, seed: RngSeed) -> np.ndarray:
     k = _validate_level(A, k)
     p = _validate_depth(p)
     n = A.shape[1]
-    S = gaussian_matrix(n, min(k + _OVERSAMPLING, *A.shape), seed)
+    S = gaussian_matrix(n, _sketch_width(A, k), seed)
     try:
         Q = power_basis_from_sketch(A, S, p)
     except RankDeficient:
@@ -144,3 +156,28 @@ def approx_truncated_svd(A: np.ndarray, k: int, p: int, seed: RngSeed) -> Trunca
     return TruncatedFactorization(
         U=Q @ small.U, sigma=small.sigma, V=small.V, k=int(k), kind="approximate"
     )
+
+
+def orthonormal_iterates(
+    A: np.ndarray, k: int, seed: RngSeed
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Subspace iteration on the sketch of :func:`power_basis`, one pass at a
+    time: yields ``(p, Q, B)`` for p = 0, 1, 2, ... without end.
+
+    ``Q`` is the m-by-l orthonormal basis after p passes, with the same
+    ``l = min(k + 4, m, n)`` column sketch, and ``B = Q^T A`` its l-by-n cross
+    product.  A pass is ``Q <- qr(A (A^T Q))``: the basis is orthonormalized
+    after every pass (Halko, Martinsson & Tropp 2011, arXiv:0909.4061,
+    Alg. 4.4), so no direction drowns in rounding at depth, as it can in the
+    unnormalized product of :func:`power_product`.  ``A^T Q = B^T`` is the first
+    half of the next pass, so yielding ``B`` costs nothing extra.  The caller
+    decides when to stop by leaving the loop.
+    """
+    A = as_matrix(A, "A")
+    k = _validate_level(A, k)
+    S = gaussian_matrix(A.shape[1], _sketch_width(A, k), seed)
+    Q = np.linalg.qr(A @ S)[0]
+    for p in itertools.count():
+        Z = A.T @ Q
+        yield p, Q, Z.T
+        Q = np.linalg.qr(A @ Z)[0]

@@ -1,0 +1,150 @@
+"""The adaptive randomized solve behind ``trunclsq solve --epsilon --delta``.
+
+adaptive_truncated_solve runs orthonormalized subspace iteration on the
+sketch approx_truncated_solve draws, re-solves every few passes, and stops
+once x has settled to the (epsilon, 4/3 epsilon) target or the paper's depth
+rule, evaluated on the current Ritz values, is reached.
+"""
+
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from helpers import random_orthonormal
+from trunclsq import (
+    NoSpectralGap,
+    RngSeed,
+    adaptive_truncated_solve,
+    choose_power_depth,
+    exact_truncated_solve,
+    gap_profile,
+    save_matrix,
+    save_vector,
+    synthetic_problem,
+)
+from trunclsq import bounds as bounds_module
+from trunclsq.cli import main
+
+
+def relative_error(x, reference):
+    return np.linalg.norm(x - reference) / np.linalg.norm(reference)
+
+
+def hard_spectrum_problem():
+    """m=300, n=200, k=10: sigma_1/sigma_k = 1e3 across the head, gap 0.5 at
+    k, and a tail decaying a further hundredfold."""
+    rng = np.random.default_rng(2024)
+    m, n, k = 300, 200, 10
+    sigma = np.concatenate([np.logspace(3.0, 0.0, k), 0.5 * np.logspace(0.0, -2.0, n - k)])
+    A = (random_orthonormal(rng, m, n) * sigma) @ random_orthonormal(rng, n, n).T
+    return A, rng.standard_normal(m), k
+
+
+def test_meets_joint_accuracy_targets_on_the_acceptance_instance():
+    """The instance of test_chosen_depth_meets_joint_accuracy_targets (gap
+    0.5, size 100, level 5, epsilon=0.2, delta=0.1): both targets must hold
+    jointly in at least 70% of 200 sketch draws, never past the paper depth."""
+    epsilon, delta = 0.2, 0.1
+    problem = synthetic_problem(100, 5, 0.5, 0.2, RngSeed(42))
+    A, b, k = problem.A, problem.b, problem.k
+    cap = choose_power_depth(epsilon, delta, problem.gap_profile)
+    exact = exact_truncated_solve(A, b, k)
+    rhs_norm = np.linalg.norm(b)
+    successes = 0
+    for trial in range(200):
+        approx = adaptive_truncated_solve(A, b, k, epsilon, delta, RngSeed(4242, trial))
+        assert approx.p <= cap
+        residual_ok = approx.residual_norm <= exact.residual_norm + epsilon * rhs_norm
+        solution_ok = relative_error(approx.x, exact.x) <= (4.0 / 3.0) * epsilon
+        successes += residual_ok and solution_ok
+    assert successes >= 140, f"joint accuracy target met in only {successes}/200 trials"
+
+
+def test_settles_far_below_the_worst_case_depth():
+    # Gap 0.99 at k, as in the benchmark sweep: the paper's rule asks for
+    # hundreds of passes, while x settles within a few dozen.
+    epsilon, delta = 0.05, 0.1
+    problem = synthetic_problem(200, 10, 0.99, 0.2, RngSeed(21))
+    exact = exact_truncated_solve(problem.A, problem.b, 10)
+    approx = adaptive_truncated_solve(problem.A, problem.b, 10, epsilon, delta, RngSeed(22))
+    assert approx.p <= choose_power_depth(epsilon, delta, problem.gap_profile) / 4
+    assert relative_error(approx.x, exact.x) <= (4.0 / 3.0) * epsilon
+
+
+@pytest.mark.parametrize("stream", range(3))
+def test_hard_spectrum_meets_the_solution_target(stream):
+    epsilon, delta = 0.05, 0.1
+    A, b, k = hard_spectrum_problem()
+    exact = exact_truncated_solve(A, b, k)
+    approx = adaptive_truncated_solve(A, b, k, epsilon, delta, RngSeed(9, stream))
+    assert relative_error(approx.x, exact.x) <= (4.0 / 3.0) * epsilon
+    assert approx.p <= choose_power_depth(epsilon, delta, gap_profile(A, k))
+
+
+def test_wide_dynamic_range_diagonal_matches_the_exact_solve():
+    # sigma_2 / sigma_1 = 1e-4; the fixed-depth path raises RankDeficient
+    # here at p = 40, because its unnormalized power product underflows.
+    A = np.diag([1.0, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+    b = np.arange(1.0, 7.0)
+    approx = adaptive_truncated_solve(A, b, 2, 0.05, 0.1, RngSeed(1))
+    exact = exact_truncated_solve(A, b, 2)
+    np.testing.assert_allclose(approx.x, exact.x, rtol=0.0, atol=1e-8 * np.linalg.norm(exact.x))
+    assert approx.method == "adaptive_truncated" and approx.k == 2
+
+
+def test_tied_spectrum_has_no_spectral_gap(tmp_path):
+    b = np.arange(1.0, 7.0)
+    with pytest.raises(NoSpectralGap):
+        adaptive_truncated_solve(np.eye(6), b, 2, 0.05, 0.1, RngSeed(1))
+    save_matrix(np.eye(6), tmp_path / "A.mtx")
+    save_vector(b, tmp_path / "b.mtx")
+    argv = ["solve", str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx"), "--k", "2",
+            "--epsilon", "0.05", "--delta", "0.1"]
+    assert main(argv) == 1
+
+
+def test_exact_rank_k_stops_before_any_pass():
+    # sigma_{k+1} = 0: the depth rule gives 0, and the sketch already spans
+    # the range.
+    rng = np.random.default_rng(7)
+    A = (random_orthonormal(rng, 30, 3) * [3.0, 2.0, 1.0]) @ random_orthonormal(rng, 20, 3).T
+    b = rng.standard_normal(30)
+    approx = adaptive_truncated_solve(A, b, 3, 0.05, 0.1, RngSeed(2))
+    assert approx.p == 0
+    np.testing.assert_allclose(approx.x, exact_truncated_solve(A, b, 3).x, atol=1e-10)
+
+
+@pytest.mark.parametrize("cap", [0, 3, 7])
+def test_depth_stops_at_the_cap(monkeypatch, cap):
+    # gap 0.99 at k: x is far from settled after a handful of passes.
+    problem = synthetic_problem(60, 4, 0.99, 0.2, RngSeed(5))
+    monkeypatch.setattr(bounds_module, "choose_power_depth", lambda *args: cap)
+    approx = adaptive_truncated_solve(problem.A, problem.b, 4, 0.01, 0.1, RngSeed(6))
+    assert approx.p == cap
+
+
+def test_bitwise_reproducible_per_seed():
+    problem = synthetic_problem(80, 6, 0.9, 0.2, RngSeed(11))
+    args = (problem.A, problem.b, 6, 0.05, 0.1)
+    first = adaptive_truncated_solve(*args, RngSeed(3))
+    again = adaptive_truncated_solve(*args, RngSeed(3))
+    other = adaptive_truncated_solve(*args, RngSeed(4))
+    assert first.x.tobytes() == again.x.tobytes() and first.p == again.p
+    assert first.x.tobytes() != other.x.tobytes()
+
+
+def test_cli_runs_give_byte_identical_stdout(tmp_path):
+    problem = synthetic_problem(60, 4, 0.9, 0.2, RngSeed(8))
+    save_matrix(problem.A, tmp_path / "A.mtx")
+    save_vector(problem.b, tmp_path / "b.mtx")
+    argv = [sys.executable, "-m", "trunclsq", "solve", str(tmp_path / "A.mtx"),
+            str(tmp_path / "b.mtx"), "--k", "4", "--epsilon", "0.05", "--delta", "0.1",
+            "--seed", "3"]
+    runs = [subprocess.run(argv, capture_output=True, timeout=120) for _ in range(2)]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    cap = choose_power_depth(0.05, 0.1, problem.gap_profile)
+    depth = next(line for line in runs[0].stdout.decode().splitlines() if line.startswith("p = "))
+    assert 0 <= int(depth[len("p = "):]) <= cap

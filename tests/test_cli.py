@@ -70,6 +70,16 @@ class TestExactCommand:
         assert "1.0\n2.0\n" not in out
         assert np.array_equal(load_vector(solution_path), [1.0, 2.0, 0.0])
 
+    @pytest.mark.parametrize("command", [["exact", "--k", "2"], ["tikhonov", "--lambda", "0.5"]])
+    def test_seedless_command_ignores_malformed_environment_seed(
+        self, capsys, diag_problem, monkeypatch, command
+    ):
+        matrix_path, rhs_path = diag_problem
+        monkeypatch.setenv(cli_module.ENV_SEED, "abc")
+        code, _, err = run_main(capsys, [command[0], matrix_path, rhs_path, *command[1:]])
+        assert code == 0
+        assert err == ""
+
     def test_inputs_not_mutated(self, capsys, diag_problem):
         matrix_path, rhs_path = diag_problem
         before = (open(matrix_path, "rb").read(), open(rhs_path, "rb").read())
@@ -151,6 +161,15 @@ class TestSolveCommand:
         code, _, err = run_main(capsys, ["solve", matrix_path, rhs_path, "--k", "2"])
         assert code == 2
         assert "requires --p" in err
+
+    def test_bad_environment_seed_is_usage_error(self, capsys, diag_problem, monkeypatch):
+        matrix_path, rhs_path = diag_problem
+        monkeypatch.setenv(cli_module.ENV_SEED, "abc")
+        code, _, err = run_main(
+            capsys, ["solve", matrix_path, rhs_path, "--k", "2", "--p", "1"]
+        )
+        assert code == 2
+        assert "seed must be a nonnegative 64-bit integer" in err
 
     def test_bad_seed_is_usage_error(self, capsys, diag_problem):
         matrix_path, rhs_path = diag_problem
