@@ -5,12 +5,19 @@ Supports the plain-text exchange format for real general matrices:
 * ``load_matrix`` reads either variant into a dense float64 array.  The
   ``array`` variant stores entries in column-major order; ``coordinate``
   entries are densified with duplicates summed, per the format convention.
+  A file whose banner and size line are its first two lines and which holds
+  no comment is parsed in one vectorized pass: numpy's str-to-number casts
+  accept exactly the tokens ``float()`` and ``int()`` accept, so the arrays
+  are bitwise those of a token-by-token parse.  The line-by-line parser
+  serves only files with comments or blank lines before the size line, and
+  files with a fault, for which it words the error.
 * ``save_matrix`` emits the ``array`` variant with shortest round-trip
   decimal values and LF line endings, so writes are byte-reproducible.
 * Vectors travel as single-column ``array`` files.
 
-All parse failures raise :class:`~trunclsq.errors.MatrixMarketError` with a
-``path:line:`` prefix.
+All parse failures raise :class:`~trunclsq.errors.MatrixMarketError`: a
+missing or undecodable file with a ``path:`` prefix, a fault in the text
+with a ``path:line:`` prefix.
 """
 
 from __future__ import annotations
@@ -82,7 +89,10 @@ def _content_lines(lines: list[str]):
         yield lineno, stripped
 
 
-def _parse_dimensions(tokens: list[str], path, lineno: int, count: int) -> list[int]:
+def _parse_size(layout: str, line: str, path, lineno: int) -> tuple[int, int, int]:
+    """Validate a size line; return rows, columns and the number of entries."""
+    tokens = line.split()
+    count = 2 if layout == "array" else 3
     if len(tokens) != count:
         raise _fail(path, lineno, f"size line must have {count} integers, got {len(tokens)}")
     dims = []
@@ -91,15 +101,61 @@ def _parse_dimensions(tokens: list[str], path, lineno: int, count: int) -> list[
             dims.append(int(token))
         except ValueError:
             raise _fail(path, lineno, f"expected an integer dimension, got {token!r}") from None
-    return dims
+    rows, cols = dims[:2]
+    entries = dims[2] if layout == "coordinate" else rows * cols
+    if rows < 1 or cols < 1:
+        raise _fail(path, lineno, f"dimensions must be positive, got {rows}x{cols}")
+    if entries < 0:
+        raise _fail(path, lineno, f"entry count must be nonnegative, got {entries}")
+    if rows * cols > MAX_DENSE_ENTRIES:
+        raise _fail(path, lineno, f"{rows}x{cols} overflows the dense-entry limit")
+    return rows, cols, entries
 
 
-def load_matrix(path) -> np.ndarray:
-    """Read a real general Matrix Market file into a dense float64 array."""
-    if not os.path.exists(path):
-        raise MatrixMarketError(f"{path}: file does not exist")
-    with open(path, "r", encoding="utf-8") as handle:
-        numbered = list(enumerate(handle.read().splitlines(), start=1))
+def _parse_clean(text: str, path) -> np.ndarray | None:
+    """Parse a comment-free file in one vectorized pass, or return None.
+
+    Applies when the banner and the size line are lines 1 and 2 and no ``%``
+    follows the banner; a fault in either raises what ``_parse_lines``
+    raises.  Returns None wherever ``_parse_lines`` would not return the same
+    array -- a comment, a blank size line, a bad token, a wrong count, an
+    out-of-range index or a non-finite value -- so that it handles the file.
+    No list of lines is built for ``array``: its text is split once.
+    """
+    first = text.find("\n")
+    second = text.find("\n", first + 1)
+    if first < 0 or second < 0 or text.find("%", first) >= 0:
+        return None
+    head = text[:second].splitlines()
+    if len(head) != 2 or not head[1].strip():
+        return None
+    layout = _parse_banner(head[0], path)
+    rows, cols, count = _parse_size(layout, head[1], path, 2)
+    # A wrong entry count fails the reshape with ValueError.
+    try:
+        if layout == "array":
+            values = np.array(text[second + 1 :].split(), dtype=np.float64)
+            values = values.reshape((rows, cols), order="F")
+            return values if np.isfinite(values).all() else None
+        body = text[second + 1 :]
+        # One entry per nonblank line, as _parse_lines demands.
+        if not set(map(len, map(str.split, body.splitlines()))) <= {0, 3}:
+            return None
+        table = np.array(body.split(), dtype=object).reshape((count, 3))
+        index = table[:, :2].astype(np.int64)
+        values = table[:, 2].astype(np.float64)
+    except (ValueError, OverflowError):
+        return None
+    if not ((index >= 1) & (index <= (rows, cols))).all() or not np.isfinite(values).all():
+        return None
+    matrix = np.zeros((rows, cols), dtype=np.float64)
+    np.add.at(matrix, (index[:, 0] - 1, index[:, 1] - 1), values)
+    return matrix
+
+
+def _parse_lines(text: str, path) -> np.ndarray:
+    """Parse line by line, skipping comments; words every parse error."""
+    numbered = list(enumerate(text.splitlines(), start=1))
     if not numbered:
         raise _fail(path, 1, "empty file")
     layout = _parse_banner(numbered[0][1], path)
@@ -109,57 +165,60 @@ def load_matrix(path) -> np.ndarray:
         size_lineno, size_line = next(content)
     except StopIteration:
         raise _fail(path, len(numbered), "missing size line") from None
-    tokens = size_line.split()
+    rows, cols, count = _parse_size(layout, size_line, path, size_lineno)
 
     if layout == "array":
-        rows, cols = _parse_dimensions(tokens, path, size_lineno, 2)
-        if rows < 1 or cols < 1:
-            raise _fail(path, size_lineno, f"dimensions must be positive, got {rows}x{cols}")
-        if rows * cols > MAX_DENSE_ENTRIES:
-            raise _fail(path, size_lineno, f"{rows}x{cols} overflows the dense-entry limit")
-        values = np.empty(rows * cols, dtype=np.float64)
+        values = np.empty(count, dtype=np.float64)
         filled = 0
         for lineno, line in content:
             for token in line.split():
-                if filled >= rows * cols:
-                    raise _fail(path, lineno, f"more than {rows * cols} entries")
+                if filled >= count:
+                    raise _fail(path, lineno, f"more than {count} entries")
                 values[filled] = _parse_real(token, path, lineno)
                 filled += 1
-        if filled < rows * cols:
-            raise _fail(path, len(numbered), f"expected {rows * cols} entries, found {filled}")
+        if filled < count:
+            raise _fail(path, len(numbered), f"expected {count} entries, found {filled}")
         return values.reshape((rows, cols), order="F")
 
-    rows, cols, nnz = _parse_dimensions(tokens, path, size_lineno, 3)
-    if rows < 1 or cols < 1:
-        raise _fail(path, size_lineno, f"dimensions must be positive, got {rows}x{cols}")
-    if nnz < 0:
-        raise _fail(path, size_lineno, f"entry count must be nonnegative, got {nnz}")
-    if rows * cols > MAX_DENSE_ENTRIES:
-        raise _fail(path, size_lineno, f"{rows}x{cols} overflows the dense-entry limit")
     matrix = np.zeros((rows, cols), dtype=np.float64)
     seen = 0
     for lineno, line in content:
         tokens = line.split()
         if len(tokens) != 3:
             raise _fail(path, lineno, f"coordinate entry must be 'i j value', got {line!r}")
-        if seen >= nnz:
-            raise _fail(path, lineno, f"more than {nnz} coordinate entries")
+        if seen >= count:
+            raise _fail(path, lineno, f"more than {count} coordinate entries")
         i = _parse_index(tokens[0], path, lineno, rows, "row")
         j = _parse_index(tokens[1], path, lineno, cols, "column")
         matrix[i - 1, j - 1] += _parse_real(tokens[2], path, lineno)
         seen += 1
-    if seen < nnz:
-        raise _fail(path, len(numbered), f"expected {nnz} coordinate entries, found {seen}")
+    if seen < count:
+        raise _fail(path, len(numbered), f"expected {count} coordinate entries, found {seen}")
     return matrix
+
+
+def load_matrix(path) -> np.ndarray:
+    """Read a real general Matrix Market file into a dense float64 array."""
+    if not os.path.exists(path):
+        raise MatrixMarketError(f"{path}: file does not exist")
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise MatrixMarketError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte offset {exc.start})"
+        ) from None
+    matrix = _parse_clean(text, path)
+    return _parse_lines(text, path) if matrix is None else matrix
 
 
 def save_matrix(A: np.ndarray, path) -> None:
     """Write a dense matrix as a Matrix Market ``array real general`` file."""
     A = as_matrix(A, "A")
-    lines = ["%%MatrixMarket matrix array real general", f"{A.shape[0]} {A.shape[1]}"]
-    lines.extend(repr(float(value)) for value in A.flatten(order="F"))
+    header = f"%%MatrixMarket matrix array real general\n{A.shape[0]} {A.shape[1]}\n"
+    body = "\n".join(map(repr, A.ravel(order="F").tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(f"{header}{body}\n")
 
 
 def load_vector(path) -> np.ndarray:
