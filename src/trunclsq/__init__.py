@@ -35,7 +35,6 @@ from .bounds import (
     gap_profile,
     lower_bound_instance,
     projection_distance,
-    projection_power_depth,
     subspace_capture_bound,
 )
 from .errors import (
@@ -121,7 +120,6 @@ __all__ = [
     "AdversarialInstance",
     "gap_profile",
     "choose_power_depth",
-    "projection_power_depth",
     "projection_distance",
     "subspace_capture_bound",
     "error_chain",

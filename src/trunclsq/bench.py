@@ -15,7 +15,6 @@ generator uses streams (seed, 0..2), and the sketch uses stream 10_000.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -289,13 +288,12 @@ def run_experiment(
     *,
     noise: float = 0.2,
     timing_reps: int = 3,
-    jobs: int = 1,
 ) -> ExperimentReport:
     """Sweep (n, trial) pairs, solving each synthetic problem exactly and
     with the randomized solver.  A failed run becomes an error row (NaN
-    metrics); the sweep never aborts.  Rows are sorted by (n, seed), and all
-    metric columns are deterministic for fixed arguments regardless of
-    ``jobs``.
+    metrics); the sweep never aborts.  Rows run one at a time, so the two
+    timing columns are uncontended; they are sorted by (n, seed), and all
+    metric columns are deterministic for fixed arguments.
     """
     n_values = [int(n) for n in n_values]
     if not n_values:
@@ -317,21 +315,9 @@ def run_experiment(
         for trial in range(int(seeds_per_n)):
             tasks.append((n, k, p, derive_row_seed(base_seed, n, trial)))
 
-    jobs = max(1, int(jobs))
-    if jobs == 1:
-        rows = [
-            _run_one(n, k, p, row_seed, gamma_target, noise, timing_reps)
-            for n, k, p, row_seed in tasks
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(
-                pool.map(
-                    lambda task: _run_one(
-                        task[0], task[1], task[2], task[3], gamma_target, noise, timing_reps
-                    ),
-                    tasks,
-                )
-            )
+    rows = [
+        _run_one(n, k, p, row_seed, gamma_target, noise, timing_reps)
+        for n, k, p, row_seed in tasks
+    ]
     rows.sort(key=lambda row: (row.n, row.seed))
     return ExperimentReport(rows=tuple(rows))

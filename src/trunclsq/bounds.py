@@ -5,11 +5,8 @@ This module makes the solver's accuracy guarantees executable:
 * :func:`choose_power_depth` picks the smallest power-iteration depth that
   meets an additive-residual / relative-solution-error target with
   probability about ``1 - 2.35 * delta``.
-* :func:`projection_power_depth` is the analogous depth for driving the
-  projection distance between the exact and sketched top-k left subspaces
-  below a target.
-* :func:`projection_distance` measures that subspace distance (the sine of
-  the largest principal angle).
+* :func:`projection_distance` measures the distance between the exact and
+  sketched top-k left subspaces (the sine of the largest principal angle).
 * :func:`subspace_capture_bound` certifies a fully deterministic inequality:
   for ANY sketch S, the weighted projection gap is dominated by the
   geometrically decaying tail term ``gamma_k^(2p+1) * sigma_1(V_tail^T S)``.
@@ -51,7 +48,6 @@ __all__ = [
     "AdversarialInstance",
     "gap_profile",
     "choose_power_depth",
-    "projection_power_depth",
     "projection_distance",
     "subspace_capture_bound",
     "error_chain",
@@ -158,19 +154,6 @@ def _check_unit_interval(value: float, name: str) -> float:
     return value
 
 
-def _depth_from_logs(log_numerator: float, gamma_k: float) -> int:
-    if gamma_k >= 1.0:
-        raise NoSpectralGap(
-            "gamma_k = 1: the tail ties the head, no power depth separates them"
-        )
-    if gamma_k == 0.0:
-        return 0
-    # Both logs are negative: the ratio is the smallest real depth that
-    # closes the target, and the ceiling is the smallest valid integer.
-    denominator = 2.0 * math.log(gamma_k)
-    return max(0, math.ceil(log_numerator / denominator))
-
-
 def choose_power_depth(epsilon: float, delta: float, profile: GapProfile) -> int:
     """Smallest power-iteration depth p meeting the solver guarantees.
 
@@ -196,17 +179,16 @@ def choose_power_depth(epsilon: float, delta: float, profile: GapProfile) -> int
         - math.log(12.0)
         - math.log(profile.n)
     )
-    return _depth_from_logs(log_numerator, profile.gamma_k)
-
-
-def projection_power_depth(epsilon: float, delta: float, profile: GapProfile) -> int:
-    """Smallest depth driving the top-k subspace projection distance below
-    ``epsilon`` with probability at least about ``1 - 2.35 * delta``:
-    ``ceil(ln(eps * delta / (4 n)) / (2 ln gamma_k))``."""
-    epsilon = _check_unit_interval(epsilon, "epsilon")
-    delta = _check_unit_interval(delta, "delta")
-    log_numerator = math.log(epsilon) + math.log(delta) - math.log(4.0) - math.log(profile.n)
-    return _depth_from_logs(log_numerator, profile.gamma_k)
+    if profile.gamma_k >= 1.0:
+        raise NoSpectralGap(
+            "gamma_k = 1: the tail ties the head, no power depth separates them"
+        )
+    if profile.gamma_k == 0.0:
+        return 0
+    # Both logs are negative: the ratio is the smallest real depth that
+    # closes the target, and the ceiling is the smallest valid integer.
+    denominator = 2.0 * math.log(profile.gamma_k)
+    return max(0, math.ceil(log_numerator / denominator))
 
 
 def _require_orthonormal(M: np.ndarray, name: str) -> np.ndarray:

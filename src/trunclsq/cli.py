@@ -220,7 +220,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         seeds_per_n=args.seeds_per_n,
         base_seed=args.seed,
         noise=args.noise,
-        jobs=args.jobs,
     )
     failed = sum(1 for row in report.rows if row.error is not None)
     if args.output is not None:
@@ -292,7 +291,6 @@ def _validate(args: argparse.Namespace) -> None:
             f"every n must exceed k={args.k}",
         )
         _require(args.seeds_per_n >= 1, "--seeds-per-n must be positive")
-        _require(args.jobs >= 1, "--jobs must be positive")
     if command == "gen":
         _require(args.n >= 2, "gen requires --n >= 2")
         _require(args.n > args.k, "gen requires n > k")
@@ -378,7 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--noise", type=float, default=0.2, help="rhs noise coefficient")
     sp.add_argument("--seeds-per-n", type=int, default=20, help="trials per size")
     sp.add_argument("--seed", help="base seed for the sweep")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
     sp.add_argument("--output", help="CSV path (default: standard output)")
 
     sp = sub.add_parser("gen", help="write a synthetic problem to files")

@@ -19,8 +19,7 @@ import numpy as np
 from .errors import InvalidTruncation, RankDeficient, ZeroMatrix
 
 __all__ = [
-    "KernelTolerances",
-    "TOLERANCES",
+    "SVD_RANK_FACTOR",
     "ThinSVD",
     "QRFactors",
     "TruncatedFactorization",
@@ -37,23 +36,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KernelTolerances:
-    """Rank thresholds used by the factorization kernels, in one record.
-
-    qr_rank_threshold:
-        ``qr_factor`` declares rank deficiency when the smallest ``|R[i, i]|``
-        is at most this fraction of the spectral norm of the input.
-    svd_rank_factor:
-        ``thin_svd`` keeps singular values above
-        ``max(rows, cols) * sigma_1 * svd_rank_factor``.
-    """
-
-    qr_rank_threshold: float = 1e-12
-    svd_rank_factor: float = 1e-14
-
-
-TOLERANCES = KernelTolerances()
+# thin_svd keeps singular values above max(rows, cols) * sigma_1 * this factor.
+SVD_RANK_FACTOR = 1e-14
 
 
 def as_matrix(M: object, name: str = "matrix") -> np.ndarray:
@@ -120,37 +104,23 @@ class TruncatedFactorization:
     kind: str
 
 
-def qr_factor(M: np.ndarray, rank_threshold: float | None = None) -> QRFactors:
-    """Economy QR of a tall full-column-rank matrix.
+def qr_factor(M: np.ndarray) -> QRFactors:
+    """Economy QR of a tall matrix with no exactly zero pivot.
 
-    Raises :class:`RankDeficient` when the smallest diagonal entry of R falls
-    at or below ``rank_threshold`` times the spectral norm of ``M`` (default:
-    ``qr_rank_threshold``), and ``ValueError`` when ``M`` has more columns
-    than rows.  Callers that orthonormalize legitimately ill-conditioned
-    inputs — deep power-iteration products, whose conditioning grows like
-    ``(sigma_1 / sigma_k) ** (2p+1)`` without being rank-deficient — may pass
-    ``rank_threshold=0.0`` so that only exactly zero pivots are rejected.
+    Raises :class:`RankDeficient` when a diagonal entry of R is exactly zero,
+    and ``ValueError`` when ``M`` has more columns than rows.  No relative
+    threshold applies: deep power-iteration products are legitimately
+    ill-conditioned — their conditioning grows like
+    ``(sigma_1 / sigma_k) ** (2p+1)`` — without being rank-deficient.
     """
     M = as_matrix(M, "M")
-    if rank_threshold is None:
-        rank_threshold = TOLERANCES.qr_rank_threshold
-    rank_threshold = float(rank_threshold)
-    if rank_threshold < 0.0:
-        raise ValueError(f"rank_threshold must be nonnegative, got {rank_threshold}")
     m, n = M.shape
     if m < n:
         raise ValueError(f"qr_factor requires rows >= cols, got {m}x{n}")
     Q, R = np.linalg.qr(M, mode="reduced")
-    smallest = float(np.min(np.abs(np.diag(R))))
-    if rank_threshold == 0.0 and smallest > 0.0:
-        # Only exactly zero pivots are rejected; the norm is not needed.
-        return QRFactors(Q=Q, R=R)
-    # ||M||_2 equals the top singular value of the small factor R.
-    top = float(np.linalg.svd(R, compute_uv=False)[0])
-    if top == 0.0 or smallest <= rank_threshold * top:
+    if not np.diag(R).all():
         raise RankDeficient(
-            f"matrix of shape {m}x{n} is numerically rank-deficient: "
-            f"min |R[i,i]| = {smallest:.3e} against spectral norm {top:.3e}"
+            f"matrix of shape {m}x{n} is rank-deficient: R has a zero diagonal entry"
         )
     return QRFactors(Q=Q, R=R)
 
@@ -158,7 +128,7 @@ def qr_factor(M: np.ndarray, rank_threshold: float | None = None) -> QRFactors:
 def thin_svd(M: np.ndarray) -> ThinSVD:
     """Thin SVD keeping only the numerically nonzero singular triples.
 
-    Singular values at or below ``max(rows, cols) * sigma_1 * svd_rank_factor``
+    Singular values at or below ``max(rows, cols) * sigma_1 * SVD_RANK_FACTOR``
     are treated as zero.  Each right singular vector is sign-canonicalized so
     that its largest-magnitude entry (lowest index on ties) is positive,
     making the factors deterministic.  Raises :class:`ZeroMatrix` for an
@@ -168,7 +138,7 @@ def thin_svd(M: np.ndarray) -> ThinSVD:
     if not M.any():
         raise ZeroMatrix(f"cannot factor an all-zero {M.shape[0]}x{M.shape[1]} matrix")
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    cutoff = max(M.shape) * s[0] * TOLERANCES.svd_rank_factor
+    cutoff = max(M.shape) * s[0] * SVD_RANK_FACTOR
     rank = int(np.count_nonzero(s > cutoff))
     if rank == 0:
         raise ZeroMatrix("matrix is numerically zero: all singular values below cutoff")

@@ -23,7 +23,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import RankDeficient
+from .errors import InvalidTruncation, RankDeficient
 from .linalg import TruncatedFactorization, as_matrix, qr_factor, thin_svd
 from .sketch import RngSeed, gaussian_matrix
 
@@ -55,7 +55,9 @@ def _validate_level(A: np.ndarray, k: int) -> int:
     k = int(k)
     m, n = A.shape
     if not 1 <= k < min(m, n):
-        raise ValueError(f"k must satisfy 1 <= k < min(rows, cols) = {min(m, n)}, got {k}")
+        raise InvalidTruncation(
+            f"truncation level k={k} must satisfy 1 <= k < min(rows, cols) ({min(m, n)})"
+        )
     return k
 
 
@@ -93,14 +95,13 @@ def power_basis_from_sketch(A: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
     Fully deterministic in its inputs: no randomness beyond the given sketch.
     Raises :class:`RankDeficient` when the power product loses column rank.
 
-    The terminal QR runs with ``rank_threshold=0.0``: a deep power product is
-    legitimately ill-conditioned — its column conditioning grows like
-    ``(sigma_1 / sigma_k) ** (2p+1)`` — so only exactly zero pivots are
-    treated as rank loss here.  Genuine rank deficiency of the sketched
-    pipeline is enforced where the statistic is well-conditioned: at the
-    thin SVD of the small cross product in :func:`approx_truncated_svd`.
+    The terminal QR treats only exactly zero pivots as rank loss: a deep
+    power product is legitimately ill-conditioned — its column conditioning
+    grows like ``(sigma_1 / sigma_k) ** (2p+1)``.  Genuine rank deficiency of
+    the sketched pipeline is enforced where the statistic is well-conditioned:
+    at the thin SVD of the small cross product in :func:`approx_truncated_svd`.
     """
-    return qr_factor(power_product(A, S, p), rank_threshold=0.0).Q
+    return qr_factor(power_product(A, S, p)).Q
 
 
 def power_basis(A: np.ndarray, k: int, p: int, seed: RngSeed) -> np.ndarray:

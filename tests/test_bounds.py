@@ -21,24 +21,12 @@ from trunclsq import (
     gaussian_matrix,
     gaussian_vector,
     lower_bound_instance,
-    power_basis,
     projection_distance,
-    projection_power_depth,
     subspace_capture_bound,
     thin_svd,
 )
 
 DIAG = np.diag([4.0, 3.0, 2.0, 1.0])
-
-
-def planted_spectrum_matrix(n: int, k: int, gamma: float, rng) -> np.ndarray:
-    """Square matrix with singular values 1 for the head and a gamma-decaying
-    tail, under random orthogonal factors."""
-    sigma = np.ones(n)
-    sigma[k:] = gamma ** np.arange(1, n - k + 1)
-    U = random_orthonormal(rng, n, n)
-    V = random_orthonormal(rng, n, n)
-    return (U * sigma) @ V.T
 
 
 class TestGapProfile:
@@ -131,40 +119,6 @@ class TestChoosePowerDepth:
                 choose_power_depth(bad, 0.1, profile)
             with pytest.raises(ValueError):
                 choose_power_depth(0.1, bad, profile)
-
-
-class TestProjectionPowerDepth:
-    def test_matches_log_space_formula(self):
-        profile = GapProfile(
-            sigma_1=1.0, sigma_k=0.5, sigma_k_plus_1=0.25, gamma_k=0.5, n=100, k=5
-        )
-        epsilon, delta = 0.1, 0.1
-        expected = int(
-            np.ceil(np.log(epsilon * delta / (4.0 * profile.n)) / (2.0 * np.log(0.5)))
-        )
-        assert projection_power_depth(epsilon, delta, profile) == expected == 8
-
-    def test_no_gap_is_rejected(self):
-        profile = GapProfile(
-            sigma_1=1.0, sigma_k=0.5, sigma_k_plus_1=0.5, gamma_k=1.0, n=10, k=2
-        )
-        with pytest.raises(NoSpectralGap):
-            projection_power_depth(0.1, 0.1, profile)
-
-    def test_chosen_depth_hits_distance_target(self):
-        # The depth is calibrated so the subspace distance lands under
-        # epsilon with probability well above 1/2; demand half of 40 trials.
-        rng = np.random.default_rng(80)
-        n, k, epsilon, delta = 30, 3, 0.3, 0.2
-        A = planted_spectrum_matrix(n, k, 0.6, rng)
-        profile = gap_profile(A, k)
-        depth = projection_power_depth(epsilon, delta, profile)
-        U_k = thin_svd(A).U[:, :k]
-        hits = 0
-        for trial in range(40):
-            Q = power_basis(A, k, depth, RngSeed(81, trial))
-            hits += projection_distance(U_k, Q) <= epsilon
-        assert hits >= 20
 
 
 class TestProjectionDistance:

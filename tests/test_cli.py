@@ -330,6 +330,13 @@ class TestErrorPaths:
             main(["frobnicate"])
         assert excinfo.value.code == 2
 
+    def test_jobs_flag_is_unrecognized(self, capsys):
+        # bench takes no --jobs: its sweep runs serially, so timings are uncontended.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--k", "3", "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
     def test_missing_matrix_file_exits_one(self, capsys, tmp_path):
         rhs = tmp_path / "b.mtx"
         save_vector(np.ones(3), rhs)
@@ -370,7 +377,10 @@ class TestErrorPaths:
             ),
             (["tikhonov", "A", "b"], "tikhonov requires --lambda"),
             (["bench", "--k", "3", "--seeds-per-n", "0"], "--seeds-per-n must be positive"),
-            (["bench", "--k", "3", "--jobs", "0"], "--jobs must be positive"),
+            (
+                ["solve", "A", "b", "--k", "2", "--epsilon", "0.1"],
+                "solve requires --p, or both --epsilon and --delta",
+            ),
             (["bench", "--k", "3", "--noise", "-1"], "--noise must be nonnegative"),
             (
                 ["gen", "--n", "20", "--k", "3", "--gamma", "1.5", "--output", "out"],

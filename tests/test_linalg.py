@@ -20,7 +20,7 @@ from trunclsq import (
     thin_svd,
     truncate,
 )
-from trunclsq.linalg import TOLERANCES, KernelTolerances, as_matrix, as_vector
+from trunclsq.linalg import SVD_RANK_FACTOR, as_matrix, as_vector
 
 
 class TestValidation:
@@ -46,14 +46,8 @@ class TestValidation:
 
 
 class TestTolerances:
-    def test_config_record_is_frozen(self):
-        with pytest.raises(AttributeError):
-            TOLERANCES.qr_rank_threshold = 1.0
-
     def test_expected_defaults(self):
-        assert TOLERANCES == KernelTolerances()
-        assert TOLERANCES.qr_rank_threshold == 1e-12
-        assert TOLERANCES.svd_rank_factor == 1e-14
+        assert SVD_RANK_FACTOR == 1e-14
 
 
 class TestQrFactor:
@@ -86,12 +80,6 @@ class TestQrFactor:
         with pytest.raises(ValueError, match="rows >= cols"):
             qr_factor(np.ones((2, 3)))
 
-    def test_duplicate_columns_are_rank_deficient(self):
-        rng = np.random.default_rng(9)
-        col = rng.standard_normal((5, 1))
-        with pytest.raises(RankDeficient):
-            qr_factor(np.hstack([col, col]))
-
     def test_zero_matrix_is_rank_deficient(self):
         with pytest.raises(RankDeficient):
             qr_factor(np.zeros((4, 2)))
@@ -99,14 +87,8 @@ class TestQrFactor:
     def test_zero_threshold_accepts_ill_conditioned_input(self):
         rng = np.random.default_rng(10)
         M = rank_k_matrix(rng, 8, 3, 3, sigma=[1.0, 1e-7, 1e-14])
-        with pytest.raises(RankDeficient):
-            qr_factor(M)
-        factors = qr_factor(M, rank_threshold=0.0)
+        factors = qr_factor(M)
         assert np.max(np.abs(factors.Q.T @ factors.Q - np.eye(3))) <= 1e-12
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            qr_factor(np.eye(3), rank_threshold=-1.0)
 
     def test_deterministic_bits(self):
         rng = np.random.default_rng(12)

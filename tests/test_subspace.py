@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from helpers import projection_distance_oracle, rank_k_matrix
 from trunclsq import (
+    InvalidTruncation,
     RankDeficient,
     RngSeed,
     approx_truncated_svd,
@@ -94,9 +95,9 @@ class TestPowerBasis:
 
     def test_rejects_bad_truncation_level(self):
         A = gaussian_matrix(6, 5, RngSeed(14))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidTruncation):
             power_basis(A, 0, 1, RngSeed(1))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidTruncation):
             power_basis(A, 5, 1, RngSeed(1))
 
     def test_rejects_negative_depth(self):
