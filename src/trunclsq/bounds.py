@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import DegenerateSketch, NoSpectralGap, RankDeficient, ZeroMatrix
 from .linalg import (
+    SVD_RANK_FACTOR,
     ThinSVD,
     TruncatedFactorization,
     as_matrix,
@@ -165,9 +166,10 @@ def choose_power_depth(epsilon: float, delta: float, profile: GapProfile) -> int
     ``ceil((ln eps + ln delta + 2 ln sigma_k - 2 ln sigma_1 - ln 12 - ln n)
     / (2 ln gamma_k))``.
 
-    ``gamma_k = 1`` raises :class:`NoSpectralGap` (no depth separates the
-    subspace); ``gamma_k = 0`` returns 0 (one pass captures the range
-    exactly).
+    ``gamma_k >= 1 - n * SVD_RANK_FACTOR`` raises :class:`NoSpectralGap`:
+    that close to 1 the gap is below the rounding of the singular values
+    themselves, so the tail ties the head and no depth separates them.
+    ``gamma_k = 0`` returns 0 (one pass captures the range exactly).
     """
     epsilon = _check_unit_interval(epsilon, "epsilon")
     delta = _check_unit_interval(delta, "delta")
@@ -179,9 +181,9 @@ def choose_power_depth(epsilon: float, delta: float, profile: GapProfile) -> int
         - math.log(12.0)
         - math.log(profile.n)
     )
-    if profile.gamma_k >= 1.0:
+    if profile.gamma_k >= 1.0 - profile.n * SVD_RANK_FACTOR:
         raise NoSpectralGap(
-            "gamma_k = 1: the tail ties the head, no power depth separates them"
+            f"gamma_k = {profile.gamma_k!r}: the tail ties the head, no power depth separates them"
         )
     if profile.gamma_k == 0.0:
         return 0

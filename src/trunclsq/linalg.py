@@ -109,9 +109,8 @@ def qr_factor(M: np.ndarray) -> QRFactors:
 
     Raises :class:`RankDeficient` when a diagonal entry of R is exactly zero,
     and ``ValueError`` when ``M`` has more columns than rows.  No relative
-    threshold applies: deep power-iteration products are legitimately
-    ill-conditioned — their conditioning grows like
-    ``(sigma_1 / sigma_k) ** (2p+1)`` — without being rank-deficient.
+    threshold applies: power-iteration blocks are legitimately
+    ill-conditioned without being rank-deficient.
     """
     M = as_matrix(M, "M")
     m, n = M.shape

@@ -39,7 +39,7 @@ from .linalg import (
     thin_svd,
 )
 from .sketch import RngSeed
-from .subspace import approx_truncated_svd, orthonormal_iterates
+from .subspace import approx_truncated_svd, power_iterates
 
 __all__ = [
     "SolveOutcome",
@@ -183,11 +183,11 @@ def adaptive_truncated_solve(
 ) -> SolveOutcome:
     """Randomized truncated solve that picks its own depth.
 
-    Runs the subspace iteration of
-    :func:`trunclsq.subspace.orthonormal_iterates` on the sketch
-    :func:`approx_truncated_solve` draws.  Every few passes it solves on the
-    rank-k truncation of the projection ``Q Q^T A``, read off the thin SVD of
-    the cross product ``Q^T A``, and stops at the first of:
+    Walks the subspace iteration of :func:`trunclsq.subspace.power_iterates`
+    on the sketch :func:`approx_truncated_solve` draws.  Every few passes it
+    orthonormalizes the iterate to Q, solves on the rank-k truncation of the
+    projection ``Q Q^T A``, read off the thin SVD of the cross product
+    ``Q^T A``, and stops at the first of:
 
     * the solution has settled: the relative change of x since the last
       solve, and twice the change still to come (a geometric series at the
@@ -211,10 +211,11 @@ def adaptive_truncated_solve(
     started = time.perf_counter()
     x = change = None
     next_solve = 0
-    for p, Q, B in orthonormal_iterates(A, k, seed):
+    for p, Y in enumerate(power_iterates(A, k, seed)):
         if p < next_solve:
             continue
-        ritz = thin_svd(B)
+        Q = np.linalg.qr(Y)[0]
+        ritz = thin_svd((A.T @ Q).T)
         cap = choose_power_depth(epsilon, delta, gap_profile(A, k, factorization=ritz))
         fact = leading_factors(ritz, k)
         require_invertible(fact)

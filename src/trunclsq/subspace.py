@@ -1,19 +1,18 @@
-"""Randomized subspace power iteration and the sketched truncated SVD.
+"""Randomized subspace iteration and the sketched truncated SVD.
 
-The fixed-depth range finder draws an n-by-l Gaussian sketch S, oversampled to
-``l = min(k + 4, m, n)`` columns, forms the power product ``(A A^T)^p A S``
-strictly right-to-left, and orthonormalizes the result with one QR
-factorization at the end.  The k leading left singular vectors of the small
-l-by-n cross product ``Q_l^T A`` cut that basis down to k directions, so the
-projected matrix ``Q Q^T A`` is the rank-k truncation of ``Q_l Q_l^T A``.
-Its rank-k factorization is then read off from the thin SVD of the k-by-n
-cross product ``Q^T A``, where fewer than k numerically nonzero singular
-values raise :class:`RankDeficient` — the m-by-n projection itself is never
-materialized.
-
-:func:`orthonormal_iterates` runs the same sketch as subspace iteration
-instead, orthonormalizing after every pass, for callers that decide the
-depth while iterating.
+One loop serves every depth mode.  It draws an n-by-l Gaussian sketch S,
+oversampled to ``l = min(k + 4, m, n)`` columns, and runs passes
+``Y <- A (A^T Y)`` from ``Y = A S``, replacing Y by the Q of its QR after the
+first pass and then only when the schedule of :func:`_iterates` calls for it
+(Halko, Martinsson & Tropp 2011, arXiv:0909.4061, Alg. 4.4).  The fixed-depth
+range finder orthonormalizes the p-th iterate with one QR at the end; the k
+leading left singular vectors of the small l-by-n cross product ``Q_l^T A``
+cut that basis down to k directions, so the projected matrix ``Q Q^T A`` is
+the rank-k truncation of ``Q_l Q_l^T A``.  Its rank-k factorization is read
+off the thin SVD of the k-by-n cross product ``Q^T A``, where fewer than k
+numerically nonzero singular values raise :class:`RankDeficient` — the m-by-n
+projection itself is never materialized.  :func:`power_iterates` hands the
+same loop to callers that decide the depth while iterating.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ __all__ = [
     "power_basis_from_sketch",
     "power_basis",
     "approx_truncated_svd",
-    "orthonormal_iterates",
+    "power_iterates",
 ]
 
 # Sketch columns drawn beyond k.  The error left in the top-k subspace after
@@ -42,6 +41,13 @@ __all__ = [
 # arXiv:0909.4061, Sec. 4.2 and Thm 9.1).  The first k columns of the wider
 # sketch are the k-wide sketch, since gaussian_matrix fills column-major.
 _OVERSAMPLING = 4
+
+# _iterates orthonormalizes before a pass could spread its columns by more
+# than _SPREAD_LIMIT, which leaves the weakest ten float64 digits above the
+# rounding of the strongest, or move their scale by more than _DRIFT_LIMIT,
+# far inside float64's 1e+-308 range.
+_SPREAD_LIMIT = 1e6
+_DRIFT_LIMIT = 1e100
 
 
 def _validate_depth(p: int) -> int:
@@ -65,14 +71,30 @@ def _sketch_width(A: np.ndarray, k: int) -> int:
     return min(k + _OVERSAMPLING, *A.shape)
 
 
-def power_product(A: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
-    """``(A A^T)^p A S`` evaluated right-to-left.
+def _iterates(A: np.ndarray, S: np.ndarray) -> Iterator[np.ndarray]:
+    """``Y_0 = A S``, then ``Y_p = A (A^T Y_{p-1})`` for p = 1, 2, ... without
+    end.  Y goes through a QR after pass 1, and after that before any pass
+    that, at the per-pass spread ``max/min |R_ii|`` and drift ``max |ln |R_ii||``
+    the last QR read, could exceed ``_SPREAD_LIMIT`` or ``_DRIFT_LIMIT``."""
+    Y = A @ S
+    yield Y
+    passes, rate = 0, 1.0  # passes since the last QR, growth per pass over the limits
+    while True:
+        if (passes + 1) * rate > 1.0:
+            Y, R = np.linalg.qr(Y)
+            logs = np.log(np.maximum(np.abs(np.diag(R)), np.finfo(np.float64).tiny))
+            rate = max((logs.max() - logs.min()) / np.log(_SPREAD_LIMIT),
+                       np.abs(logs).max() / np.log(_DRIFT_LIMIT)) / passes
+            passes = 0
+        Y = A @ (A.T @ Y)
+        passes += 1
+        yield Y
 
-    After each of the p refinement passes the iterate is rescaled by its
-    largest absolute entry — a pure scaling that preserves the column span
-    while keeping the powers of the leading singular value away from
-    floating-point overflow.
-    """
+
+def power_product(A: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
+    """The p-th iterate of the subspace iteration on ``A S``, whose columns
+    span ``(A A^T)^p A S``; p = 0 and 1 give ``A S`` and ``A (A^T (A S))``
+    exactly."""
     A = as_matrix(A, "A")
     S = as_matrix(S, "S")
     p = _validate_depth(p)
@@ -80,26 +102,23 @@ def power_product(A: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
         raise ValueError(
             f"sketch must have {A.shape[1]} rows to match the matrix columns, got {S.shape[0]}"
         )
-    Y = A @ S
-    for _ in range(p):
-        Y = A @ (A.T @ Y)
-        peak = float(np.max(np.abs(Y)))
-        if peak > 0.0:
-            Y /= peak
-    return Y
+    return next(itertools.islice(_iterates(A, S), p, None))
 
 
 def power_basis_from_sketch(A: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
     """Orthonormal basis for the columns of ``(A A^T)^p A S``.
 
     Fully deterministic in its inputs: no randomness beyond the given sketch.
-    Raises :class:`RankDeficient` when the power product loses column rank.
+    Raises :class:`RankDeficient` when the p-th iterate loses column rank;
+    rank lost exactly before one of the loop's QRs does not show, because
+    that QR completes the block with orthonormal columns, as Alg. 4.4 does.
 
-    The terminal QR treats only exactly zero pivots as rank loss: a deep
-    power product is legitimately ill-conditioned — its column conditioning
-    grows like ``(sigma_1 / sigma_k) ** (2p+1)``.  Genuine rank deficiency of
-    the sketched pipeline is enforced where the statistic is well-conditioned:
-    at the thin SVD of the small cross product in :func:`approx_truncated_svd`.
+    The terminal QR treats only exactly zero pivots as rank loss: it sees
+    the columns spread by the passes since the loop's last QR, up to about
+    ``1e6`` or one pass's worth, which is legitimately ill-conditioned
+    without being rank-deficient.  Genuine rank deficiency of the sketched
+    pipeline is enforced where the statistic is well-conditioned: at the
+    thin SVD of the small cross product in :func:`approx_truncated_svd`.
     """
     return qr_factor(power_product(A, S, p)).Q
 
@@ -159,26 +178,11 @@ def approx_truncated_svd(A: np.ndarray, k: int, p: int, seed: RngSeed) -> Trunca
     )
 
 
-def orthonormal_iterates(
-    A: np.ndarray, k: int, seed: RngSeed
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Subspace iteration on the sketch of :func:`power_basis`, one pass at a
-    time: yields ``(p, Q, B)`` for p = 0, 1, 2, ... without end.
-
-    ``Q`` is the m-by-l orthonormal basis after p passes, with the same
-    ``l = min(k + 4, m, n)`` column sketch, and ``B = Q^T A`` its l-by-n cross
-    product.  A pass is ``Q <- qr(A (A^T Q))``: the basis is orthonormalized
-    after every pass (Halko, Martinsson & Tropp 2011, arXiv:0909.4061,
-    Alg. 4.4), so no direction drowns in rounding at depth, as it can in the
-    unnormalized product of :func:`power_product`.  ``A^T Q = B^T`` is the first
-    half of the next pass, so yielding ``B`` costs nothing extra.  The caller
-    decides when to stop by leaving the loop.
+def power_iterates(A: np.ndarray, k: int, seed: RngSeed) -> Iterator[np.ndarray]:
+    """The iterates of :func:`power_product` on the sketch :func:`power_basis`
+    draws, one pass at a time: yields ``Y_p`` for p = 0, 1, 2, ... without
+    end.  The caller decides when to stop by leaving the loop.
     """
     A = as_matrix(A, "A")
     k = _validate_level(A, k)
-    S = gaussian_matrix(A.shape[1], _sketch_width(A, k), seed)
-    Q = np.linalg.qr(A @ S)[0]
-    for p in itertools.count():
-        Z = A.T @ Q
-        yield p, Q, Z.T
-        Q = np.linalg.qr(A @ Z)[0]
+    return _iterates(A, gaussian_matrix(A.shape[1], _sketch_width(A, k), seed))

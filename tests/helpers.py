@@ -26,6 +26,16 @@ def random_orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.nda
     return Q
 
 
+def hard_spectrum_problem():
+    """m=300, n=200, k=10: sigma_1/sigma_k = 1e3 across the head, gap 0.5 at
+    k, and a tail decaying a further hundredfold."""
+    rng = np.random.default_rng(2024)
+    m, n, k = 300, 200, 10
+    sigma = np.concatenate([np.logspace(3.0, 0.0, k), 0.5 * np.logspace(0.0, -2.0, n - k)])
+    A = (random_orthonormal(rng, m, n) * sigma) @ random_orthonormal(rng, n, n).T
+    return A, rng.standard_normal(m), k
+
+
 def rank_k_matrix(
     rng: np.random.Generator, rows: int, cols: int, k: int, sigma=None
 ) -> np.ndarray:

@@ -12,14 +12,16 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import random_orthonormal
+from helpers import hard_spectrum_problem, random_orthonormal
 from trunclsq import (
     NoSpectralGap,
     RngSeed,
     adaptive_truncated_solve,
+    approx_truncated_solve,
     choose_power_depth,
     exact_truncated_solve,
     gap_profile,
+    load_vector,
     save_matrix,
     save_vector,
     synthetic_problem,
@@ -30,16 +32,6 @@ from trunclsq.cli import main
 
 def relative_error(x, reference):
     return np.linalg.norm(x - reference) / np.linalg.norm(reference)
-
-
-def hard_spectrum_problem():
-    """m=300, n=200, k=10: sigma_1/sigma_k = 1e3 across the head, gap 0.5 at
-    k, and a tail decaying a further hundredfold."""
-    rng = np.random.default_rng(2024)
-    m, n, k = 300, 200, 10
-    sigma = np.concatenate([np.logspace(3.0, 0.0, k), 0.5 * np.logspace(0.0, -2.0, n - k)])
-    A = (random_orthonormal(rng, m, n) * sigma) @ random_orthonormal(rng, n, n).T
-    return A, rng.standard_normal(m), k
 
 
 def test_meets_joint_accuracy_targets_on_the_acceptance_instance():
@@ -81,17 +73,29 @@ def test_hard_spectrum_meets_the_solution_target(stream):
     approx = adaptive_truncated_solve(A, b, k, epsilon, delta, RngSeed(9, stream))
     assert relative_error(approx.x, exact.x) <= (4.0 / 3.0) * epsilon
     assert approx.p <= choose_power_depth(epsilon, delta, gap_profile(A, k))
+    # The fixed-depth path on the same sketch: every direction of the head
+    # survives the passes, so the error falls with depth.
+    errors = [relative_error(approx_truncated_solve(A, b, k, p, RngSeed(9, stream)).x, exact.x)
+              for p in (2, 4, 8, 16)]
+    assert errors == sorted(errors, reverse=True) and errors[-1] < 1e-8
 
 
-def test_wide_dynamic_range_diagonal_matches_the_exact_solve():
-    # sigma_2 / sigma_1 = 1e-4; the fixed-depth path raises RankDeficient
-    # here at p = 40, because its unnormalized power product underflows.
+def test_wide_dynamic_range_diagonal_matches_the_exact_solve(tmp_path):
+    # sigma_2 / sigma_1 = 1e-4: an unnormalized power product loses the
+    # second direction to underflow long before p = 40.
     A = np.diag([1.0, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
     b = np.arange(1.0, 7.0)
     approx = adaptive_truncated_solve(A, b, 2, 0.05, 0.1, RngSeed(1))
     exact = exact_truncated_solve(A, b, 2)
     np.testing.assert_allclose(approx.x, exact.x, rtol=0.0, atol=1e-8 * np.linalg.norm(exact.x))
     assert approx.method == "adaptive_truncated" and approx.k == 2
+    save_matrix(A, tmp_path / "A.mtx")
+    save_vector(b, tmp_path / "b.mtx")
+    files = [str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx")]
+    assert main(["solve", *files, "--k", "2", "--p", "40", "--output", str(tmp_path / "x.mtx")]) == 0
+    assert main(["exact", *files, "--k", "2", "--output", str(tmp_path / "exact.mtx")]) == 0
+    np.testing.assert_allclose(load_vector(tmp_path / "x.mtx"), load_vector(tmp_path / "exact.mtx"),
+                               rtol=0.0, atol=1e-8 * np.linalg.norm(exact.x))
 
 
 def test_tied_spectrum_has_no_spectral_gap(tmp_path):

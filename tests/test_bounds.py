@@ -106,6 +106,19 @@ class TestChoosePowerDepth:
         with pytest.raises(NoSpectralGap):
             choose_power_depth(0.1, 0.1, profile)
 
+    def test_rounded_ties_are_rejected(self):
+        # Every sigma is 3: thin_svd returns the ties up to rounding, so
+        # gamma_k can come out as 1 - 2.2e-16, which is a tie, not a gap
+        # that some finite depth (about 5e16 passes) would close.
+        rng = np.random.default_rng(77)
+        for _ in range(200):
+            m, n = (int(v) for v in rng.integers(8, 60, size=2))
+            r = min(m, n)
+            A = 3.0 * random_orthonormal(rng, m, r) @ random_orthonormal(rng, n, r).T
+            profile = gap_profile(A, int(rng.integers(1, r)))
+            with pytest.raises(NoSpectralGap):
+                choose_power_depth(0.05, 0.1, profile)
+
     def test_zero_tail_needs_no_iteration(self):
         profile = GapProfile(
             sigma_1=1.0, sigma_k=0.5, sigma_k_plus_1=0.0, gamma_k=0.0, n=10, k=2
@@ -179,6 +192,27 @@ class TestSubspaceCaptureBound:
                 f"bound {report.bound} + tol {report.tol}"
             )
             assert report.label == "sketched-subspace capture"
+
+    def test_holds_with_k_near_n_at_depth(self):
+        # The benchmark's Gaussian certificate instances where a sketched
+        # power product loses directions to rounding: k within 1-3 of n,
+        # sigma_1/sigma_k of 5-50 and 5-10 passes.
+        rng = np.random.default_rng(93)
+        checked = 0
+        while checked < 100:
+            m = int(rng.integers(24, 61))
+            n = int(rng.integers(16, min(m, 48) + 1))
+            k, p = n - int(rng.integers(1, 4)), int(rng.integers(5, 11))
+            A, S = rng.standard_normal((m, n)), rng.standard_normal((n, k))
+            sigma = np.linalg.svd(A, compute_uv=False)
+            if not 5.0 <= sigma[0] / sigma[k - 1] <= 50.0:
+                continue
+            checked += 1
+            report = subspace_capture_bound(A, S, k, p)
+            assert report.satisfied, (
+                f"m={m} n={n} k={k} p={p}: measured {report.measured} > "
+                f"bound {report.bound} + tol {report.tol}"
+            )
 
     def test_bound_decays_by_squared_gap_per_pass(self):
         A = gaussian_matrix(9, 7, RngSeed(91))

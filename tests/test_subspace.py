@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import projection_distance_oracle, rank_k_matrix
+from helpers import hard_spectrum_problem, projection_distance_oracle, rank_k_matrix
 from trunclsq import (
     InvalidTruncation,
     RankDeficient,
@@ -14,6 +14,7 @@ from trunclsq import (
     power_basis,
     power_basis_from_sketch,
     power_product,
+    synthetic_problem,
 )
 from trunclsq import subspace as subspace_module
 
@@ -35,15 +36,34 @@ class TestPowerProduct:
         A = rng.standard_normal((6, 5))
         S = rng.standard_normal((5, 2))
         direct = A @ (A.T @ (A @ S))
-        direct /= np.max(np.abs(direct))
         assert_allclose(power_product(A, S, 1), direct, rtol=0, atol=1e-14)
 
-    def test_rescale_keeps_peak_at_one(self):
+    def test_deep_iterate_is_finite_and_orthonormalizes(self):
         rng = np.random.default_rng(2)
         A = 100.0 * rng.standard_normal((8, 8))
         S = rng.standard_normal((8, 3))
-        Y = power_product(A, S, 40)
-        assert np.max(np.abs(Y)) == pytest.approx(1.0)
+        assert np.all(np.isfinite(power_product(A, S, 40)))
+        Q = power_basis_from_sketch(A, S, 40)
+        assert np.max(np.abs(Q.T @ Q - np.eye(3))) <= 1e-10
+
+    def test_orthonormalizes_only_when_the_spread_demands_it(self, monkeypatch):
+        calls = []
+        real = np.linalg.qr
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        # Gap 0.99 at k, as in the benchmark sweep: the block spreads slowly.
+        problem = synthetic_problem(100, 20, 0.99, 0.2, RngSeed(60))
+        power_product(problem.A, gaussian_matrix(100, 24, RngSeed(61)), 47)
+        assert 1 <= len(calls) <= 8
+        # sigma_1/sigma_k = 1e3: one pass spreads the block by about 1e6.
+        calls.clear()
+        A, _, k = hard_spectrum_problem()
+        power_product(A, gaussian_matrix(A.shape[1], k + 4, RngSeed(62)), 16)
+        assert len(calls) >= 13
 
     def test_rejects_negative_depth(self):
         with pytest.raises(ValueError):
@@ -72,7 +92,7 @@ class TestPowerBasisFromSketch:
             power_basis_from_sketch(np.eye(5), np.zeros((5, 2)), 0)
 
     def test_survives_deep_iteration_conditioning(self):
-        # The power product's columns become ill-conditioned like
+        # The columns of (A A^T)^p A S become ill-conditioned like
         # (sigma_1/sigma_k)^(2p+1); deep depths must still orthonormalize.
         A = np.diag([4.0, 3.0, 2.0, 1.0])
         S = gaussian_matrix(4, 2, RngSeed(8))
