@@ -299,6 +299,8 @@ def run_experiment(
     if not n_values:
         raise ValueError("n_values must be nonempty")
     k = int(k)
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if any(n <= k for n in n_values):
         raise ValueError(f"every n must exceed k={k}, got {n_values}")
     if int(seeds_per_n) < 1:

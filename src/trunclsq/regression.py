@@ -39,7 +39,7 @@ from .linalg import (
     thin_svd,
 )
 from .sketch import RngSeed
-from .subspace import approx_truncated_svd, power_iterates
+from .subspace import approx_truncated_svd, power_iterates, ritz_factorization
 
 __all__ = [
     "SolveOutcome",
@@ -185,9 +185,10 @@ def adaptive_truncated_solve(
 
     Walks the subspace iteration of :func:`trunclsq.subspace.power_iterates`
     on the sketch :func:`approx_truncated_solve` draws.  Every few passes it
-    orthonormalizes the iterate to Q, solves on the rank-k truncation of the
-    projection ``Q Q^T A``, read off the thin SVD of the cross product
-    ``Q^T A``, and stops at the first of:
+    orthonormalizes the iterate to Q, takes the Ritz step
+    :func:`trunclsq.subspace.ritz_factorization` that finishes every
+    fixed-depth solve, solves on its rank-k factorization, and stops at the
+    first of:
 
     * the solution has settled: the relative change of x since the last
       solve, and twice the change still to come (a geometric series at the
@@ -197,9 +198,11 @@ def adaptive_truncated_solve(
       ``(epsilon, delta)``, evaluated on the current Ritz values and recomputed
       at every solve.
 
-    ``p`` of the outcome is the number of passes run.  A tied spectrum raises
+    ``p`` of the outcome is the number of passes run, and x is bitwise the x
+    of ``approx_truncated_solve(A, b, k, p, seed)`` whenever that solve's
+    sketch keeps full rank.  A tied spectrum raises
     :class:`NoSpectralGap` like the depth rule does, a cross product of rank
-    below k raises :class:`InvalidTruncation`, and a recovered k-th singular
+    below k raises :class:`RankDeficient`, and a recovered k-th singular
     value below ``SIGMA_RATIO_FLOOR`` times the first raises
     :class:`IllConditionedTruncation`.
     """
@@ -214,12 +217,10 @@ def adaptive_truncated_solve(
     for p, Y in enumerate(power_iterates(A, k, seed)):
         if p < next_solve:
             continue
-        Q = np.linalg.qr(Y)[0]
-        ritz = thin_svd((A.T @ Q).T)
+        ritz, fact = ritz_factorization(A, np.linalg.qr(Y)[0], k)
         cap = choose_power_depth(epsilon, delta, gap_profile(A, k, factorization=ritz))
-        fact = leading_factors(ritz, k)
         require_invertible(fact)
-        x, previous = solve_factored(fact, Q.T @ b), x
+        x, previous = solve_factored(fact, b), x
         if previous is not None:
             change, last_change = _relative_change(x, previous), change
             if last_change is not None and _settled(change, last_change, epsilon):

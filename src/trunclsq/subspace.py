@@ -5,14 +5,15 @@ oversampled to ``l = min(k + 4, m, n)`` columns, and runs passes
 ``Y <- A (A^T Y)`` from ``Y = A S``, replacing Y by the Q of its QR after the
 first pass and then only when the schedule of :func:`_iterates` calls for it
 (Halko, Martinsson & Tropp 2011, arXiv:0909.4061, Alg. 4.4).  The fixed-depth
-range finder orthonormalizes the p-th iterate with one QR at the end; the k
-leading left singular vectors of the small l-by-n cross product ``Q_l^T A``
-cut that basis down to k directions, so the projected matrix ``Q Q^T A`` is
-the rank-k truncation of ``Q_l Q_l^T A``.  Its rank-k factorization is read
-off the thin SVD of the k-by-n cross product ``Q^T A``, where fewer than k
-numerically nonzero singular values raise :class:`RankDeficient` — the m-by-n
+range finder orthonormalizes the p-th iterate to the m-by-l basis ``Q`` with
+one QR at the end.  One Ritz step, :func:`ritz_factorization`, turns any such
+basis into a rank-k factorization (Alg. 5.1): the thin SVD of the small l-by-n
+cross product ``Q^T A``, whose k leading triples, lifted by Q, are the rank-k
+truncation of the projected matrix ``Q Q^T A``; fewer than k numerically
+nonzero singular values raise :class:`RankDeficient`, and the m-by-n
 projection itself is never materialized.  :func:`power_iterates` hands the
-same loop to callers that decide the depth while iterating.
+same loop to callers that decide the depth while iterating, and they finish
+with the same Ritz step.
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from collections.abc import Iterator
 import numpy as np
 
 from .errors import InvalidTruncation, RankDeficient
-from .linalg import TruncatedFactorization, as_matrix, qr_factor, thin_svd
+from .linalg import ThinSVD, TruncatedFactorization, as_matrix, qr_factor, thin_svd
 from .sketch import RngSeed, gaussian_matrix
 
 __all__ = [
     "power_product",
     "power_basis_from_sketch",
     "power_basis",
+    "ritz_factorization",
     "approx_truncated_svd",
     "power_iterates",
 ]
@@ -60,9 +62,9 @@ def _validate_depth(p: int) -> int:
 def _validate_level(A: np.ndarray, k: int) -> int:
     k = int(k)
     m, n = A.shape
-    if not 1 <= k < min(m, n):
+    if not 1 <= k <= min(m, n):
         raise InvalidTruncation(
-            f"truncation level k={k} must satisfy 1 <= k < min(rows, cols) ({min(m, n)})"
+            f"truncation level k={k} must satisfy 1 <= k <= min(rows, cols) ({min(m, n)})"
         )
     return k
 
@@ -118,23 +120,20 @@ def power_basis_from_sketch(A: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
     ``1e6`` or one pass's worth, which is legitimately ill-conditioned
     without being rank-deficient.  Genuine rank deficiency of the sketched
     pipeline is enforced where the statistic is well-conditioned: at the
-    thin SVD of the small cross product in :func:`approx_truncated_svd`.
+    thin SVD of the small cross product in :func:`ritz_factorization`.
     """
     return qr_factor(power_product(A, S, p)).Q
 
 
 def power_basis(A: np.ndarray, k: int, p: int, seed: RngSeed) -> np.ndarray:
-    """m-by-k orthonormal basis capturing the dominant k-dimensional column
-    space of ``A`` after p power-iteration passes on a seeded Gaussian sketch.
+    """m-by-l orthonormal basis of the column space of ``A`` after p
+    power-iteration passes on a seeded Gaussian sketch.
 
-    The sketch is n-by-l with ``l = min(k + 4, m, n)``.  The m-by-l basis
-    ``Q_l`` of its power product is cut down to the span of the k leading
-    left singular vectors of ``Q_l^T A``, so that ``Q Q^T A`` is the rank-k
-    truncation of ``Q_l Q_l^T A``.
-
-    A rank-deficient power product — a degenerate draw, or a matrix whose
-    range has fewer than l dimensions — is retried once on a k-wide sketch
-    with the stream advanced by one; a second failure propagates
+    The sketch is n-by-l with ``l = min(k + 4, m, n)``; the basis is
+    :func:`power_basis_from_sketch` of it.  A rank-deficient power product —
+    a degenerate draw, or a matrix whose range has fewer than l dimensions —
+    is retried once on a k-wide sketch with the stream advanced by one, which
+    then gives an m-by-k basis; a second failure propagates
     :class:`RankDeficient`.
     """
     A = as_matrix(A, "A")
@@ -143,39 +142,41 @@ def power_basis(A: np.ndarray, k: int, p: int, seed: RngSeed) -> np.ndarray:
     n = A.shape[1]
     S = gaussian_matrix(n, _sketch_width(A, k), seed)
     try:
-        Q = power_basis_from_sketch(A, S, p)
+        return power_basis_from_sketch(A, S, p)
     except RankDeficient:
-        Q = power_basis_from_sketch(A, gaussian_matrix(n, k, seed.bump_stream(1)), p)
-    # Only the span of the k leading left singular vectors of B = Q_l^T A is
-    # needed (approx_truncated_svd rotates within it), and the eigenvectors
-    # of the small Gram matrix B B^T give it at about half the cost of an SVD.
-    B = Q.T @ A
-    W = np.linalg.eigh(B @ B.T)[1]
-    return Q @ W[:, ::-1][:, :k]
+        return power_basis_from_sketch(A, gaussian_matrix(n, k, seed.bump_stream(1)), p)
+
+
+def ritz_factorization(
+    A: np.ndarray, Q: np.ndarray, k: int
+) -> tuple[ThinSVD, TruncatedFactorization]:
+    """The Ritz step on an orthonormal basis ``Q`` of ``A``'s sketched range.
+
+    Returns the thin SVD of the cross product ``Q^T A`` and its k leading
+    triples lifted to ``U = Q @ U_small``, ``sigma = sigma_small``,
+    ``V = V_small``, tagged ``kind="approximate"``: the rank-k truncation of
+    the projected matrix ``Q Q^T A``.  A cross product of numerical rank
+    below k raises :class:`RankDeficient`.
+    """
+    k = int(k)
+    ritz = thin_svd(Q.T @ A)
+    if ritz.rank < k:
+        raise RankDeficient(f"projected cross product lost rank: {ritz.rank} < k = {k}")
+    return ritz, TruncatedFactorization(
+        U=Q @ ritz.U[:, :k], sigma=ritz.sigma[:k], V=ritz.V[:, :k], k=k, kind="approximate"
+    )
 
 
 def approx_truncated_svd(A: np.ndarray, k: int, p: int, seed: RngSeed) -> TruncatedFactorization:
-    """Rank-k factorization of the projected matrix ``Q Q^T A``.
+    """Rank-k factorization of ``A`` from the sketched range after p passes:
+    :func:`ritz_factorization` on ``power_basis(A, k, p, seed)``.
 
-    With ``Q = power_basis(A, k, p, seed)``, the thin SVD of the k-by-n
-    cross product ``Q^T A`` is computed and lifted: ``U = Q @ U_small``,
-    ``sigma = sigma_small``, ``V = V_small``.  The result is tagged
-    ``kind="approximate"`` and satisfies
-    ``U @ diag(sigma) @ V.T == Q @ Q.T @ A`` to working precision, which is
-    the rank-k truncation of the oversampled projection described in
-    :func:`power_basis`.  A cross product of numerical rank below k raises
-    :class:`RankDeficient`.
+    With Q that basis, ``U @ diag(sigma) @ V.T`` is the rank-k truncation of
+    ``Q Q^T A`` to working precision; a cross product of numerical rank below
+    k raises :class:`RankDeficient`.
     """
     A = as_matrix(A, "A")
-    Q = power_basis(A, k, p, seed)
-    small = thin_svd(Q.T @ A)
-    if small.rank < Q.shape[1]:
-        raise RankDeficient(
-            f"projected cross product lost rank: {small.rank} < k = {Q.shape[1]}"
-        )
-    return TruncatedFactorization(
-        U=Q @ small.U, sigma=small.sigma, V=small.V, k=int(k), kind="approximate"
-    )
+    return ritz_factorization(A, power_basis(A, k, p, seed), k)[1]
 
 
 def power_iterates(A: np.ndarray, k: int, seed: RngSeed) -> Iterator[np.ndarray]:

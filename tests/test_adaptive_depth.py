@@ -15,6 +15,7 @@ import pytest
 from helpers import hard_spectrum_problem, random_orthonormal
 from trunclsq import (
     NoSpectralGap,
+    RankDeficient,
     RngSeed,
     adaptive_truncated_solve,
     approx_truncated_solve,
@@ -137,6 +138,23 @@ def test_bitwise_reproducible_per_seed():
     other = adaptive_truncated_solve(*args, RngSeed(4))
     assert first.x.tobytes() == again.x.tobytes() and first.p == again.p
     assert first.x.tobytes() != other.x.tobytes()
+    assert first.x.tobytes() == approx_truncated_solve(*args[:3], first.p, RngSeed(3)).x.tobytes()
+
+
+@pytest.mark.parametrize("trial", range(10))
+def test_stops_on_the_fixed_depth_solution(trial):
+    # Both depth modes finish with the same Ritz step on the same iterate.
+    n, k = 30 + 5 * trial, 2 + trial % 4
+    problem = synthetic_problem(n, k, (0.5, 0.9, 0.99)[trial % 3], 0.2, RngSeed(70, trial))
+    approx = adaptive_truncated_solve(problem.A, problem.b, k, 0.05, 0.1, RngSeed(71, trial))
+    fixed = approx_truncated_solve(problem.A, problem.b, k, approx.p, RngSeed(71, trial))
+    assert approx.x.tobytes() == fixed.x.tobytes()
+
+
+def test_rank_below_k_is_rank_deficient():
+    with pytest.raises(RankDeficient, match="lost rank"):
+        adaptive_truncated_solve(np.diag([4.0, 3.0, 0.0, 0.0, 0.0, 0.0]), np.arange(1.0, 7.0),
+                                 3, 0.05, 0.1, RngSeed(1))
 
 
 def test_cli_runs_give_byte_identical_stdout(tmp_path):

@@ -195,6 +195,8 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment([10], 10)
         with pytest.raises(ValueError):
+            run_experiment([10], 0)
+        with pytest.raises(ValueError):
             run_experiment([20], 3, seeds_per_n=0)
         with pytest.raises(TypeError):
             run_experiment([20], 3, base_seed=5)

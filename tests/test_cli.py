@@ -117,6 +117,17 @@ class TestSolveCommand:
         values = [float(line) for line in out.splitlines()[:3]]
         assert np.allclose(values, [1.0, 2.0, 0.0], atol=1e-8)
 
+    def test_full_level_prints_the_exact_solution(self, capsys, diag_problem):
+        # k = min(rows, cols) is a valid level for both solvers.
+        matrix_path, rhs_path = diag_problem
+        code, out, _ = run_main(capsys, ["solve", matrix_path, rhs_path, "--k", "3", "--p", "2"])
+        assert code == 0
+        _, exact, _ = run_main(capsys, ["exact", matrix_path, rhs_path, "--k", "3"])
+        values = [float(line) for line in out.splitlines()[:3]]
+        expected = [float(line) for line in exact.splitlines()[:3]]
+        assert expected == [1.0, 2.0, 5.0]
+        np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-14 * np.linalg.norm(expected))
+
     def test_targets_pick_the_advertised_depth(self, capsys, tmp_path):
         prefix = tmp_path / "gend"
         code, _, _ = run_main(

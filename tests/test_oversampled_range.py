@@ -1,9 +1,9 @@
 """The oversampled range finder behind power_basis and approx_truncated_svd.
 
-The sketch is n-by-l with l = min(k + 4, m, n); the factorization is the
-rank-k truncation of the projection onto the l-dimensional basis.  These
-tests rebuild that basis from the public pieces and check the factorization
-against a numpy SVD of the projected matrix.
+The sketch is n-by-l with l = min(k + 4, m, n); power_basis returns the
+l-dimensional basis, and the factorization is the rank-k truncation of the
+projection onto it.  These tests rebuild that basis from the public pieces
+and check the factorization against a numpy SVD of the projected matrix.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from trunclsq import (
     approx_truncated_svd,
     exact_truncated_solve,
     gaussian_matrix,
+    gaussian_vector,
     power_basis,
     power_basis_from_sketch,
 )
@@ -47,15 +48,23 @@ def test_factorization_is_rank_k_truncation_of_oversampled_projection(shape, k, 
     np.testing.assert_allclose(fact.sigma, top, rtol=1e-12)
 
 
-def test_power_basis_is_m_by_k_inside_the_oversampled_basis():
+def test_power_basis_is_the_oversampled_basis():
     A = gaussian_matrix(13, 10, RngSeed(62))
     k, p, seed = 4, 2, RngSeed(63)
     Q = power_basis(A, k, p, seed)
-    Q_l = oversampled_basis(A, k, p, seed)
-    assert Q_l.shape == (13, 8)
-    assert Q.shape == (13, 4)
-    np.testing.assert_allclose(Q.T @ Q, np.eye(k), atol=1e-12)
-    assert np.linalg.norm(Q - Q_l @ (Q_l.T @ Q), 2) <= 1e-10
+    assert Q.shape == (13, 8)
+    assert np.array_equal(Q, oversampled_basis(A, k, p, seed))
+
+
+@pytest.mark.parametrize("stream", range(6))
+def test_basis_spanning_every_row_gives_the_exact_solve(stream):
+    # l = min(32 + 4, 35, 36) = m: the basis spans R^m, so the sketched
+    # rank-k factorization is A's own, on a spectrum graded over six decades.
+    A = gaussian_matrix(35, 36, RngSeed(90, stream)) * np.logspace(0, -6, 36)
+    b = gaussian_vector(35, RngSeed(91, stream))
+    x = approx_truncated_solve(A, b, 32, 10, RngSeed(92, stream)).x
+    exact = exact_truncated_solve(A, b, 32).x
+    assert np.linalg.norm(x - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
 def test_first_k_columns_of_the_wide_sketch_are_the_k_wide_sketch():

@@ -1,8 +1,9 @@
-"""Every exported name has a caller.
+"""Every exported name has a caller, and every import is read.
 
 A name a module lists in ``__all__`` must be read somewhere in the package's
 modules (the package root's re-exports do not count), or be documented in
-README.md as part of the public interface.
+README.md as part of the public interface.  A name a module imports at
+module level must be read in that module or listed in its ``__all__``.
 """
 
 import ast
@@ -10,7 +11,18 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(p for p in (ROOT / "src" / "trunclsq").glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted((ROOT / "src" / "trunclsq").glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+
+
+def declared_all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
 
 
 def exported_and_used():
@@ -22,13 +34,8 @@ def exported_and_used():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__"
-                for target in node.targets
-            ):
-                for name in ast.literal_eval(node.value):
-                    exported[name] = path.name
+        for name in declared_all(tree):
+            exported[name] = path.name
     return exported, used
 
 
@@ -41,3 +48,21 @@ def test_every_export_has_a_caller_or_a_readme_entry():
         if not name.startswith("__") and name not in used and name not in readme
     )
     assert orphans == []
+
+
+def unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in read and name not in declared_all(tree)]
+
+
+def test_every_module_level_import_is_read():
+    unused = sorted(f"{path.name}:{name}" for path in SOURCES for name in unused_imports(path))
+    assert unused == []
