@@ -47,7 +47,7 @@ from .regression import (
 from .sketch import RngSeed, gaussian_matrix, gaussian_vector
 from .subspace import approx_truncated_svd
 
-__all__ = ["UsageError", "load_matrix", "main"]
+__all__ = ["UsageError", "main"]
 
 ENV_SEED = "TRUNCLSQ_SEED"
 # Residual slack accepted by the adversarial-separation certificate.

@@ -148,7 +148,10 @@ def approx_truncated_solve(
 
     Uses the sketched rank-k factorization after p power-iteration passes;
     the cost is dominated by ``O(m n (k + s) (p + 1))`` multiply-adds, with
-    ``s = 4`` oversampling columns, instead of a full SVD.  Raises
+    ``s = 4`` oversampling columns, instead of a full SVD.  On a square or
+    wide A whose head is not too spread, the passes after about
+    ``n / (2 (k + s))`` run on ``A A^T``, so a deep solve costs
+    ``O(m^2 n + m^2 (k + s) p)``.  Raises
     :class:`IllConditionedTruncation` when the recovered k-th singular value
     falls below ``SIGMA_RATIO_FLOOR`` times the first.
     """

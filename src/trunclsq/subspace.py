@@ -4,7 +4,9 @@ One loop serves every depth mode.  It draws an n-by-l Gaussian sketch S,
 oversampled to ``l = min(k + 4, m, n)`` columns, and runs passes
 ``Y <- A (A^T Y)`` from ``Y = A S``, replacing Y by the Q of its QR after the
 first pass and then only when the schedule of :func:`_iterates` calls for it
-(Halko, Martinsson & Tropp 2011, arXiv:0909.4061, Alg. 4.4).  The fixed-depth
+(Halko, Martinsson & Tropp 2011, arXiv:0909.4061, Alg. 4.4).  On a square or
+wide A, once forming ``G = A A^T`` has paid for itself and the block is not
+too spread for G's rounding, later passes run as ``Y <- G Y``.  The fixed-depth
 range finder orthonormalizes the p-th iterate to the m-by-l basis ``Q`` with
 one QR at the end.  One Ritz step, :func:`ritz_factorization`, turns any such
 basis into a rank-k factorization (Alg. 5.1): the thin SVD of the small l-by-n
@@ -19,6 +21,7 @@ with the same Ritz step.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -51,6 +54,13 @@ _OVERSAMPLING = 4
 _SPREAD_LIMIT = 1e6
 _DRIFT_LIMIT = 1e100
 
+# A Gram pass rounds G = A A^T's entries at about n eps sigma_1^2, which
+# reaches the k-th direction at about n eps (sigma_1/sigma_k)^2 where a
+# two-product pass gives n eps (sigma_1/sigma_k); _iterates runs Gram passes
+# only while a pass spreads the block by at most _GRAM_SPREAD_LIMIT, that is
+# sigma_1/sigma_l below about 100 (Halko, Martinsson & Tropp 2011, Sec. 4.5).
+_GRAM_SPREAD_LIMIT = 1e4
+
 
 def _validate_depth(p: int) -> int:
     p = int(p)
@@ -73,22 +83,47 @@ def _sketch_width(A: np.ndarray, k: int) -> int:
     return min(k + _OVERSAMPLING, *A.shape)
 
 
+def _gram(A: np.ndarray) -> np.ndarray:
+    """``A A^T``, formed once per iteration; numpy computes it as one
+    symmetric rank-n update (BLAS syrk)."""
+    return A @ A.T
+
+
 def _iterates(A: np.ndarray, S: np.ndarray) -> Iterator[np.ndarray]:
     """``Y_0 = A S``, then ``Y_p = A (A^T Y_{p-1})`` for p = 1, 2, ... without
     end.  Y goes through a QR after pass 1, and after that before any pass
     that, at the per-pass spread ``max/min |R_ii|`` and drift ``max |ln |R_ii||``
-    the last QR read, could exceed ``_SPREAD_LIMIT`` or ``_DRIFT_LIMIT``."""
+    the last QR read, could exceed ``_SPREAD_LIMIT`` or ``_DRIFT_LIMIT``.
+
+    When ``m <= n``, a pass runs as ``Y <- G Y`` on ``G = A A^T``, formed once,
+    while two gates hold.  First, the loop has run the break-even count
+    ``m n / (2 l (2n - m))`` of two-product passes: a Gram pass saves
+    ``2 m l (2n - m)`` of a two-product pass's ``4 m n l`` flops and G costs
+    ``m^2 n``, so a shallow run never forms G and a deep one pays for G at
+    most twice what the best schedule pays.  Second, the last QR read a
+    per-pass spread of at most ``_GRAM_SPREAD_LIMIT``."""
+    m, n = A.shape
     Y = A @ S
     yield Y
+    breakeven = m * n / (2 * S.shape[1] * (2 * n - m)) if m <= n else math.inf
+    G, two_product_passes, narrow = None, 0, False
     passes, rate = 0, 1.0  # passes since the last QR, growth per pass over the limits
     while True:
         if (passes + 1) * rate > 1.0:
             Y, R = np.linalg.qr(Y)
             logs = np.log(np.maximum(np.abs(np.diag(R)), np.finfo(np.float64).tiny))
-            rate = max((logs.max() - logs.min()) / np.log(_SPREAD_LIMIT),
+            spread = logs.max() - logs.min()
+            rate = max(spread / np.log(_SPREAD_LIMIT),
                        np.abs(logs).max() / np.log(_DRIFT_LIMIT)) / passes
+            narrow = spread / passes <= np.log(_GRAM_SPREAD_LIMIT)
             passes = 0
-        Y = A @ (A.T @ Y)
+        if narrow and two_product_passes >= breakeven:
+            if G is None:
+                G = _gram(A)
+            Y = G @ Y
+        else:
+            Y = A @ (A.T @ Y)
+            two_product_passes += 1
         passes += 1
         yield Y
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import rank_k_matrix
+from helpers import random_orthonormal, rank_k_matrix
 from trunclsq import (
     IllConditionedTruncation,
     InvalidTruncation,
@@ -90,6 +90,18 @@ class TestApproxTruncatedSolve:
         b = np.array([4.0, 3.0, 2.0, 1.0])
         outcome = approx_truncated_solve(DIAG, b, 2, 50, RngSeed(64))
         assert_allclose(outcome.x, [1.0, 1.0, 0.0, 0.0], rtol=0, atol=1e-6)
+
+    def test_deep_solve_keeps_a_wide_head_accurate(self):
+        # sigma_1/sigma_k = 1e6: the Gram matrix A A^T rounds the k-th
+        # direction at about n eps 1e12, so the passes must stay A (A^T Y).
+        rng = np.random.default_rng(68)
+        n, k = 200, 10
+        sigma = np.concatenate([np.logspace(0.0, -6.0, k), 0.5e-6 * np.logspace(0.0, -2.0, n - k)])
+        A = (random_orthonormal(rng, n, n) * sigma) @ random_orthonormal(rng, n, n).T
+        b = rng.standard_normal(n)
+        exact = exact_truncated_solve(A, b, k)
+        approx = approx_truncated_solve(A, b, k, 30, RngSeed(69))
+        assert np.linalg.norm(approx.x - exact.x) <= 1e-9 * np.linalg.norm(exact.x)
 
     def test_deterministic_per_seed(self):
         A = gaussian_matrix(9, 7, RngSeed(65))

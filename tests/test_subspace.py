@@ -24,6 +24,20 @@ def exact_top_k(A: np.ndarray, k: int):
     return U[:, :k], s, Vt.T[:, :k]
 
 
+@pytest.fixture
+def gram_calls(monkeypatch):
+    """Shapes of the matrices whose Gram matrix the iteration forms."""
+    calls = []
+    real = subspace_module._gram
+
+    def counting(A):
+        calls.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(subspace_module, "_gram", counting)
+    return calls
+
+
 class TestPowerProduct:
     def test_zero_depth_is_plain_product(self):
         rng = np.random.default_rng(0)
@@ -64,6 +78,27 @@ class TestPowerProduct:
         A, _, k = hard_spectrum_problem()
         power_product(A, gaussian_matrix(A.shape[1], k + 4, RngSeed(62)), 16)
         assert len(calls) >= 13
+
+    def test_forms_the_gram_matrix_once_a_deep_solve_repays_it(self, gram_calls):
+        problem = synthetic_problem(100, 20, 0.99, 0.2, RngSeed(60))
+        Y = power_product(problem.A, gaussian_matrix(100, 24, RngSeed(61)), 47)
+        assert gram_calls == [(100, 100)]
+        assert np.all(np.isfinite(Y))
+
+    @pytest.mark.parametrize("case", ["tall", "below-break-even", "hard-spectrum"])
+    def test_keeps_two_product_passes_where_the_gram_matrix_does_not_pay(
+        self, gram_calls, case
+    ):
+        if case == "tall":
+            A, width, p = gaussian_matrix(120, 100, RngSeed(63)), 24, 47
+        elif case == "below-break-even":
+            # Break-even is 200 / (2 * 24) = 4.2 two-product passes.
+            A, width, p = gaussian_matrix(200, 200, RngSeed(64)), 24, 3
+        else:
+            A, _, k = hard_spectrum_problem()
+            width, p = k + 4, 16
+        power_product(A, gaussian_matrix(A.shape[1], width, RngSeed(65)), p)
+        assert gram_calls == []
 
     def test_rejects_negative_depth(self):
         with pytest.raises(ValueError):

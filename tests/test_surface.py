@@ -1,9 +1,10 @@
-"""Every exported name has a caller, and every import is read.
+"""Every exported name has a caller and a home, and every import is read.
 
 A name a module lists in ``__all__`` must be read somewhere in the package's
 modules (the package root's re-exports do not count), or be documented in
-README.md as part of the public interface.  A name a module imports at
-module level must be read in that module or listed in its ``__all__``.
+README.md as part of the public interface, and it must be defined in that
+module: only the package root re-exports.  A name a module imports at module
+level must be read in that module or listed in its ``__all__``.
 """
 
 import ast
@@ -48,6 +49,27 @@ def test_every_export_has_a_caller_or_a_readme_entry():
         if not name.startswith("__") and name not in used and name not in readme
     )
     assert orphans == []
+
+
+def defined_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_every_export_is_defined_where_it_is_exported():
+    foreign = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = defined_names(tree)
+        foreign += [f"{path.name}:{name}" for name in declared_all(tree) if name not in defined]
+    assert sorted(foreign) == []
 
 
 def unused_imports(path):
