@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidTruncation, RankDeficient, ZeroMatrix
+from .errors import InvalidTruncation, ZeroMatrix
 
 __all__ = [
     "SVD_RANK_FACTOR",
@@ -105,23 +105,15 @@ class TruncatedFactorization:
 
 
 def qr_factor(M: np.ndarray) -> QRFactors:
-    """Economy QR of a tall matrix with no exactly zero pivot.
-
-    Raises :class:`RankDeficient` when a diagonal entry of R is exactly zero,
-    and ``ValueError`` when ``M`` has more columns than rows.  No relative
-    threshold applies: power-iteration blocks are legitimately
-    ill-conditioned without being rank-deficient.
-    """
+    """Economy QR of a tall matrix; raises ``ValueError`` when ``M`` has more
+    columns than rows.  A rank-deficient M still gets an orthonormal Q, whose
+    extra columns complete the block (Halko, Martinsson & Tropp 2011,
+    Alg. 4.4)."""
     M = as_matrix(M, "M")
     m, n = M.shape
     if m < n:
         raise ValueError(f"qr_factor requires rows >= cols, got {m}x{n}")
-    Q, R = np.linalg.qr(M, mode="reduced")
-    if not np.diag(R).all():
-        raise RankDeficient(
-            f"matrix of shape {m}x{n} is rank-deficient: R has a zero diagonal entry"
-        )
-    return QRFactors(Q=Q, R=R)
+    return QRFactors(*np.linalg.qr(M, mode="reduced"))
 
 
 def thin_svd(M: np.ndarray) -> ThinSVD:

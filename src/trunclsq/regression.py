@@ -202,8 +202,7 @@ def adaptive_truncated_solve(
       at every solve.
 
     ``p`` of the outcome is the number of passes run, and x is bitwise the x
-    of ``approx_truncated_solve(A, b, k, p, seed)`` whenever that solve's
-    sketch keeps full rank.  A tied spectrum raises
+    of ``approx_truncated_solve(A, b, k, p, seed)``.  A tied spectrum raises
     :class:`NoSpectralGap` like the depth rule does, a cross product of rank
     below k raises :class:`RankDeficient`, and a recovered k-th singular
     value below ``SIGMA_RATIO_FLOOR`` times the first raises

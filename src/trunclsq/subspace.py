@@ -8,14 +8,15 @@ first pass and then only when the schedule of :func:`_iterates` calls for it
 wide A, once forming ``G = A A^T`` has paid for itself and the block is not
 too spread for G's rounding, later passes run as ``Y <- G Y``.  The fixed-depth
 range finder orthonormalizes the p-th iterate to the m-by-l basis ``Q`` with
-one QR at the end.  One Ritz step, :func:`ritz_factorization`, turns any such
-basis into a rank-k factorization (Alg. 5.1): the thin SVD of the small l-by-n
+one QR at the end, which completes a rank-deficient iterate with orthonormal
+columns.  One Ritz step, :func:`ritz_factorization`, turns any such basis
+into a rank-k factorization (Alg. 5.1): the thin SVD of the small l-by-n
 cross product ``Q^T A``, whose k leading triples, lifted by Q, are the rank-k
-truncation of the projected matrix ``Q Q^T A``; fewer than k numerically
-nonzero singular values raise :class:`RankDeficient`, and the m-by-n
-projection itself is never materialized.  :func:`power_iterates` hands the
-same loop to callers that decide the depth while iterating, and they finish
-with the same Ritz step.
+truncation of the projected matrix ``Q Q^T A``.  It is the one place that
+refuses rank loss: fewer than k numerically nonzero singular values raise
+:class:`RankDeficient`.  The m-by-n projection itself is never materialized.
+:func:`power_iterates` hands the same loop to callers that decide the depth
+while iterating, and they finish with the same Ritz step.
 """
 
 from __future__ import annotations
@@ -143,20 +144,10 @@ def power_product(A: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
 
 
 def power_basis_from_sketch(A: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
-    """Orthonormal basis for the columns of ``(A A^T)^p A S``.
-
-    Fully deterministic in its inputs: no randomness beyond the given sketch.
-    Raises :class:`RankDeficient` when the p-th iterate loses column rank;
-    rank lost exactly before one of the loop's QRs does not show, because
-    that QR completes the block with orthonormal columns, as Alg. 4.4 does.
-
-    The terminal QR treats only exactly zero pivots as rank loss: it sees
-    the columns spread by the passes since the loop's last QR, up to about
-    ``1e6`` or one pass's worth, which is legitimately ill-conditioned
-    without being rank-deficient.  Genuine rank deficiency of the sketched
-    pipeline is enforced where the statistic is well-conditioned: at the
-    thin SVD of the small cross product in :func:`ritz_factorization`.
-    """
+    """Orthonormal basis, as wide as S, whose span contains the columns of
+    ``(A A^T)^p A S``; the QR completes a rank-deficient iterate with
+    orthonormal columns.  Fully deterministic in its inputs: no randomness
+    beyond the given sketch."""
     return qr_factor(power_product(A, S, p)).Q
 
 
@@ -165,21 +156,12 @@ def power_basis(A: np.ndarray, k: int, p: int, seed: RngSeed) -> np.ndarray:
     power-iteration passes on a seeded Gaussian sketch.
 
     The sketch is n-by-l with ``l = min(k + 4, m, n)``; the basis is
-    :func:`power_basis_from_sketch` of it.  A rank-deficient power product —
-    a degenerate draw, or a matrix whose range has fewer than l dimensions —
-    is retried once on a k-wide sketch with the stream advanced by one, which
-    then gives an m-by-k basis; a second failure propagates
-    :class:`RankDeficient`.
+    :func:`power_basis_from_sketch` of it.
     """
     A = as_matrix(A, "A")
     k = _validate_level(A, k)
     p = _validate_depth(p)
-    n = A.shape[1]
-    S = gaussian_matrix(n, _sketch_width(A, k), seed)
-    try:
-        return power_basis_from_sketch(A, S, p)
-    except RankDeficient:
-        return power_basis_from_sketch(A, gaussian_matrix(n, k, seed.bump_stream(1)), p)
+    return power_basis_from_sketch(A, gaussian_matrix(A.shape[1], _sketch_width(A, k), seed), p)
 
 
 def ritz_factorization(

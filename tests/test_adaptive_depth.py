@@ -151,6 +151,17 @@ def test_stops_on_the_fixed_depth_solution(trial):
     assert approx.x.tobytes() == fixed.x.tobytes()
 
 
+def test_stops_on_the_fixed_depth_solution_below_the_sketch_width():
+    # Rank 4 < l = 6: the QR completes the basis to R^6 on both paths, so
+    # both solve on the one sketch and give exact's x.
+    A, b = np.diag([4.0, 3.0, 2.0, 1.0, 0.0, 0.0]), np.arange(1.0, 7.0)
+    approx = adaptive_truncated_solve(A, b, 2, 0.05, 0.1, RngSeed(67))
+    fixed = approx_truncated_solve(A, b, 2, approx.p, RngSeed(67))
+    assert approx.x.tobytes() == fixed.x.tobytes()
+    exact = exact_truncated_solve(A, b, 2).x
+    np.testing.assert_allclose(approx.x, exact, rtol=0.0, atol=1e-12)
+
+
 def test_rank_below_k_is_rank_deficient():
     with pytest.raises(RankDeficient, match="lost rank"):
         adaptive_truncated_solve(np.diag([4.0, 3.0, 0.0, 0.0, 0.0, 0.0]), np.arange(1.0, 7.0),

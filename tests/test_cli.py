@@ -368,6 +368,20 @@ class TestErrorPaths:
         assert code == 1
         assert "single-column" in err
 
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_solve_on_a_matrix_of_rank_below_k_exits_one(self, capsys, tmp_path, rank):
+        A = np.zeros((6, 5))
+        A[:rank, :rank] = 2.0
+        save_matrix(A, tmp_path / "A.mtx")
+        save_vector(np.arange(1.0, 7.0), tmp_path / "b.mtx")
+        code, out, err = run_main(
+            capsys,
+            ["solve", str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx"), "--k", "2", "--p", "3"],
+        )
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
     def test_level_above_rank_exits_one(self, capsys, diag_problem):
         matrix_path, rhs_path = diag_problem
         code, _, err = run_main(capsys, ["exact", matrix_path, rhs_path, "--k", "9"])

@@ -11,7 +11,6 @@ from helpers import (
 )
 from trunclsq import (
     InvalidTruncation,
-    RankDeficient,
     ZeroMatrix,
     pseudo_inverse,
     qr_factor,
@@ -80,9 +79,10 @@ class TestQrFactor:
         with pytest.raises(ValueError, match="rows >= cols"):
             qr_factor(np.ones((2, 3)))
 
-    def test_zero_matrix_is_rank_deficient(self):
-        with pytest.raises(RankDeficient):
-            qr_factor(np.zeros((4, 2)))
+    def test_zero_matrix_gets_an_orthonormal_q(self):
+        factors = qr_factor(np.zeros((4, 2)))
+        assert np.max(np.abs(factors.Q.T @ factors.Q - np.eye(2))) <= 1e-12
+        assert not factors.R.any()
 
     def test_zero_threshold_accepts_ill_conditioned_input(self):
         rng = np.random.default_rng(10)

@@ -73,9 +73,10 @@ def test_first_k_columns_of_the_wide_sketch_are_the_k_wide_sketch():
     assert np.array_equal(wide[:, :20], gaussian_matrix(30, 20, seed))
 
 
-def test_matrix_with_exact_zero_rows_solves_through_the_k_wide_retry(monkeypatch):
-    # l = min(2 + 4, 6, 6) = 6 exceeds the rank 4 of A, so the wide power
-    # product has exactly zero pivots; the retry draws a k-wide sketch.
+def test_matrix_with_exact_zero_rows_solves_on_one_sketch(monkeypatch):
+    # l = min(2 + 4, 6, 6) = 6 exceeds the rank 4 of A, so the power product
+    # has exactly zero pivots; the QR completes it to a basis of R^6, and the
+    # solve draws no second sketch.
     A = np.diag([4.0, 3.0, 2.0, 1.0, 0.0, 0.0])
     widths = []
     real = subspace_module.gaussian_matrix
@@ -86,7 +87,7 @@ def test_matrix_with_exact_zero_rows_solves_through_the_k_wide_retry(monkeypatch
 
     monkeypatch.setattr(subspace_module, "gaussian_matrix", recording)
     fact = approx_truncated_svd(A, 2, 30, RngSeed(67))
-    assert widths == [6, 2]
+    assert widths == [6]
     np.testing.assert_allclose(fact.sigma, [4.0, 3.0], rtol=1e-8)
     assert projection_distance_oracle(fact.U, np.eye(6)[:, :2]) <= 1e-8
     b = np.arange(1.0, 7.0)
