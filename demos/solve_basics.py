@@ -15,7 +15,6 @@ from trunclsq import (
     exact_truncated_solve,
     full_ls_solve,
     gap_profile,
-    thin_svd,
     tikhonov_solve,
 )
 
@@ -34,11 +33,9 @@ def main() -> None:
     profile = gap_profile(A, 2)
     print(f"gap after k=2: sigma_3/sigma_2 = {profile.gamma_k:.2e}\n")
 
-    F = thin_svd(A)
-    full = full_ls_solve(A, b, factorization=F)
-    truncated = exact_truncated_solve(A, b, 2, factorization=F)
-    lambdas = np.full(F.rank, 1e-3)
-    damped = tikhonov_solve(A, b, lambdas, factorization=F)
+    full = full_ls_solve(A, b)
+    truncated = exact_truncated_solve(A, b, 2)
+    damped = tikhonov_solve(A, b, 1e-3)
 
     header = f"{'method':<18} {'residual':>12} {'||x||':>12}"
     print(header)

@@ -43,12 +43,10 @@ from .errors import (
     InvalidTruncation,
     MatrixMarketError,
     NoSpectralGap,
-    RankDeficient,
     TruncLsqError,
     ZeroMatrix,
 )
 from .linalg import (
-    QRFactors,
     ThinSVD,
     TruncatedFactorization,
     pseudo_inverse,
@@ -56,7 +54,6 @@ from .linalg import (
     reconstruct,
     spectral_norm,
     thin_svd,
-    truncate,
 )
 from .mmio import load_matrix, load_vector, save_matrix, save_vector
 from .regression import (
@@ -81,7 +78,6 @@ __all__ = [
     "__version__",
     # errors
     "TruncLsqError",
-    "RankDeficient",
     "ZeroMatrix",
     "InvalidTruncation",
     "IllConditionedTruncation",
@@ -90,13 +86,11 @@ __all__ = [
     "MatrixMarketError",
     # linear-algebra kernels
     "ThinSVD",
-    "QRFactors",
     "TruncatedFactorization",
     "qr_factor",
     "thin_svd",
     "pseudo_inverse",
     "spectral_norm",
-    "truncate",
     "reconstruct",
     # sketching
     "RngSeed",

@@ -34,12 +34,11 @@ from .linalg import (
     leading_factors,
     pseudo_inverse,
     reconstruct,
+    require_invertible,
     solve_factored,
     spectral_norm,
     thin_svd,
-    truncate,
 )
-from .regression import require_invertible
 from .sketch import RngSeed
 from .subspace import approx_truncated_svd, power_basis_from_sketch
 
@@ -333,14 +332,16 @@ def lower_bound_instance(
     residual while the sketched solver's residual is at least
     ``epsilon_star * ||b||``.  When the approximation is essentially exact
     (``epsilon_star <= 1e-12``) the instance is flagged ``negligible`` and z
-    falls back to the leading right singular vector of A.
+    falls back to the leading right singular vector of A.  ``k`` may equal
+    rank(A); a sketched factorization then captures all of A, and the
+    instance is negligible.
     """
     A = as_matrix(A, "A")
     k = int(k)
     if approx.k != k:
         raise ValueError(f"approximation level {approx.k} does not match k={k}")
     F = thin_svd(A)
-    exact = truncate(F, k)
+    exact = leading_factors(F, k)
     if approx.U.shape != (A.shape[0], k) or approx.V.shape != (A.shape[1], k):
         raise ValueError("approximation factor shapes do not match A")
     require_invertible(approx)

@@ -35,7 +35,7 @@ import numpy as np
 from .bench import derive_row_seed, run_experiment, synthetic_problem
 from .bounds import error_chain, lower_bound_instance, subspace_capture_bound
 from .errors import TruncLsqError
-from .linalg import solve_factored, thin_svd
+from .linalg import solve_factored
 from .mmio import load_matrix, load_vector, save_matrix, save_vector
 from .regression import (
     SolveOutcome,
@@ -113,11 +113,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 def _cmd_tikhonov(args: argparse.Namespace) -> int:
     A = load_matrix(args.matrix)
     b = load_vector(args.rhs)
-    F = thin_svd(A)
-    lambdas = args.lambdas
-    if len(lambdas) == 1:
-        lambdas = lambdas * F.rank
-    outcome = tikhonov_solve(A, b, np.asarray(lambdas, dtype=np.float64), factorization=F)
+    outcome = tikhonov_solve(A, b, args.lambdas)
     _emit_outcome(outcome, args)
     return 0
 

@@ -7,10 +7,6 @@ class TruncLsqError(Exception):
     """Base class for every error this library raises on purpose."""
 
 
-class RankDeficient(TruncLsqError):
-    """A matrix that must have full column rank does not."""
-
-
 class ZeroMatrix(TruncLsqError):
     """An operation that needs a nonzero matrix received an all-zero one."""
 

@@ -3,9 +3,10 @@
 This module holds the deterministic building blocks everything else uses:
 matrix/vector validation, QR factorization, rank-revealing thin SVD,
 Moore-Penrose pseudo-inverse, the exact spectral norm, and the rank-k factor
-arithmetic every solver and certificate shares: selecting the k leading
-triples, applying ``V_k diag(1/sigma_k) U_k^T`` to a vector, and rebuilding
-``U_k diag(sigma_k) V_k^T``.  Matrices are plain 2-D float64 ``numpy``
+contract every solver and certificate shares: the one level check
+(:func:`leading_factors`), the one invertibility floor
+(:func:`require_invertible`), applying ``V_k diag(1/sigma_k) U_k^T`` to a
+vector, and rebuilding ``U_k diag(sigma_k) V_k^T``.  Matrices are plain 2-D float64 ``numpy``
 arrays and vectors are 1-D float64 arrays; the helpers :func:`as_matrix` /
 :func:`as_vector` enforce shape and finiteness at every public entry point.
 """
@@ -16,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidTruncation, ZeroMatrix
+from .errors import IllConditionedTruncation, InvalidTruncation, ZeroMatrix
 
 __all__ = [
     "SVD_RANK_FACTOR",
+    "SIGMA_RATIO_FLOOR",
     "ThinSVD",
-    "QRFactors",
     "TruncatedFactorization",
     "as_matrix",
     "as_vector",
@@ -30,7 +31,7 @@ __all__ = [
     "pseudo_inverse",
     "spectral_norm",
     "leading_factors",
-    "truncate",
+    "require_invertible",
     "reconstruct",
     "solve_factored",
 ]
@@ -38,6 +39,10 @@ __all__ = [
 
 # thin_svd keeps singular values above max(rows, cols) * sigma_1 * this factor.
 SVD_RANK_FACTOR = 1e-14
+
+# Smallest acceptable ratio of the k-th retained singular value to the first;
+# anything below is refused as numerically uninvertible.
+SIGMA_RATIO_FLOOR = 1e-13
 
 
 def as_matrix(M: object, name: str = "matrix") -> np.ndarray:
@@ -80,15 +85,6 @@ class ThinSVD:
 
 
 @dataclass(frozen=True)
-class QRFactors:
-    """Economy QR factorization ``M = Q @ R`` with Q m-by-k orthonormal and
-    R k-by-k upper triangular."""
-
-    Q: np.ndarray
-    R: np.ndarray
-
-
-@dataclass(frozen=True)
 class TruncatedFactorization:
     """A rank-k factor triple ``U @ diag(sigma) @ V.T``.
 
@@ -104,16 +100,16 @@ class TruncatedFactorization:
     kind: str
 
 
-def qr_factor(M: np.ndarray) -> QRFactors:
-    """Economy QR of a tall matrix; raises ``ValueError`` when ``M`` has more
-    columns than rows.  A rank-deficient M still gets an orthonormal Q, whose
-    extra columns complete the block (Halko, Martinsson & Tropp 2011,
-    Alg. 4.4)."""
+def qr_factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Economy QR ``M = Q @ R`` of a tall matrix, returned as the pair
+    ``(Q, R)``; raises ``ValueError`` when ``M`` has more columns than rows.
+    A rank-deficient M still gets an orthonormal Q, whose extra columns
+    complete the block (Halko, Martinsson & Tropp 2011, Alg. 4.4)."""
     M = as_matrix(M, "M")
     m, n = M.shape
     if m < n:
         raise ValueError(f"qr_factor requires rows >= cols, got {m}x{n}")
-    return QRFactors(*np.linalg.qr(M, mode="reduced"))
+    return np.linalg.qr(M, mode="reduced")
 
 
 def thin_svd(M: np.ndarray) -> ThinSVD:
@@ -175,20 +171,15 @@ def leading_factors(F: ThinSVD, k: int) -> TruncatedFactorization:
     )
 
 
-def truncate(F: ThinSVD, k: int) -> TruncatedFactorization:
-    """Leading rank-k block of a thin SVD (the best rank-k approximation).
-
-    The strict form of :func:`leading_factors`: it also refuses ``k ==
-    F.rank``, so the truncation always drops a nonzero tail.  Requires
-    ``1 <= k < F.rank``; anything else raises :class:`InvalidTruncation`.
-    """
-    k = int(k)
-    if k >= F.rank:
-        raise InvalidTruncation(
-            f"truncation level k={k} must satisfy 1 <= k < rank ({F.rank}) "
-            "to leave a nonzero tail"
+def require_invertible(fact: TruncatedFactorization) -> None:
+    """Raise :class:`IllConditionedTruncation` when the k-th singular value
+    of ``fact`` falls below ``SIGMA_RATIO_FLOOR`` times the first."""
+    floor = SIGMA_RATIO_FLOOR * fact.sigma[0]
+    if fact.sigma[-1] < floor:
+        raise IllConditionedTruncation(
+            f"recovered sigma_k = {fact.sigma[-1]:.3e} is below "
+            f"{SIGMA_RATIO_FLOOR:g} * sigma_1 = {floor:.3e}"
         )
-    return leading_factors(F, k)
 
 
 def reconstruct(fact: TruncatedFactorization) -> np.ndarray:

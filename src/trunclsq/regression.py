@@ -16,6 +16,8 @@ apply step, :func:`trunclsq.linalg.solve_factored`, which computes
 * :func:`full_ls_solve` keeps every nonzero triple: the minimum-norm
   least-squares solution.
 
+Each solver factors A itself, and the truncated ones refuse a level outside
+``1 <= k <= rank`` through :func:`trunclsq.linalg.leading_factors`.
 Every solver returns a :class:`SolveOutcome` whose residual norm is
 recomputed from ``(A, x, b)`` rather than trusted from the solver's algebra.
 """
@@ -28,13 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedTruncation
+from .bounds import choose_power_depth, gap_profile
 from .linalg import (
-    ThinSVD,
-    TruncatedFactorization,
     as_matrix,
     as_vector,
     leading_factors,
+    require_invertible,
     solve_factored,
     thin_svd,
 )
@@ -43,18 +44,12 @@ from .subspace import approx_truncated_svd, power_iterates, ritz_factorization
 
 __all__ = [
     "SolveOutcome",
-    "SIGMA_RATIO_FLOOR",
-    "require_invertible",
     "exact_truncated_solve",
     "approx_truncated_solve",
     "adaptive_truncated_solve",
     "tikhonov_solve",
     "full_ls_solve",
 ]
-
-# Smallest acceptable ratio of the k-th retained singular value to the first;
-# anything below is refused as numerically uninvertible.
-SIGMA_RATIO_FLOOR = 1e-13
 
 # adaptive_truncated_solve re-solves after every this many passes, and
 # extrapolates the remaining change of x as a geometric series whose ratio is
@@ -108,35 +103,17 @@ def _outcome(
     )
 
 
-def require_invertible(fact: TruncatedFactorization) -> None:
-    """Raise :class:`IllConditionedTruncation` when the k-th singular value
-    of ``fact`` falls below ``SIGMA_RATIO_FLOOR`` times the first."""
-    floor = SIGMA_RATIO_FLOOR * fact.sigma[0]
-    if fact.sigma[-1] < floor:
-        raise IllConditionedTruncation(
-            f"recovered sigma_k = {fact.sigma[-1]:.3e} is below "
-            f"{SIGMA_RATIO_FLOOR:g} * sigma_1 = {floor:.3e}"
-        )
-
-
-def exact_truncated_solve(
-    A: np.ndarray,
-    b: np.ndarray,
-    k: int,
-    factorization: ThinSVD | None = None,
-) -> SolveOutcome:
+def exact_truncated_solve(A: np.ndarray, b: np.ndarray, k: int) -> SolveOutcome:
     """Solution through the k leading singular triples of A.
 
     Expands b on the leading left singular vectors, divides by the singular
-    values, and maps back:  ``x = V_k @ ((U_k^T b) / sigma_k)``.  Passing a
-    precomputed ``factorization`` of A reuses it (and excludes it from the
-    timed body); otherwise the thin SVD is computed and timed here.
+    values, and maps back:  ``x = V_k @ ((U_k^T b) / sigma_k)``.  The thin
+    SVD of A is computed and timed here.
     """
     A = as_matrix(A, "A")
     b = as_vector(b, "b", dim=A.shape[0])
     started = time.perf_counter()
-    F = factorization if factorization is not None else thin_svd(A)
-    fact = leading_factors(F, k)
+    fact = leading_factors(thin_svd(A), k)
     x = solve_factored(fact, b)
     return _outcome("exact_truncated", A, b, x, fact.k, None, started)
 
@@ -204,13 +181,10 @@ def adaptive_truncated_solve(
     ``p`` of the outcome is the number of passes run, and x is bitwise the x
     of ``approx_truncated_solve(A, b, k, p, seed)``.  A tied spectrum raises
     :class:`NoSpectralGap` like the depth rule does, a cross product of rank
-    below k raises :class:`RankDeficient`, and a recovered k-th singular
+    below k raises :class:`InvalidTruncation`, and a recovered k-th singular
     value below ``SIGMA_RATIO_FLOOR`` times the first raises
     :class:`IllConditionedTruncation`.
     """
-    # bounds imports this module, so its names are bound at call time.
-    from .bounds import choose_power_depth, gap_profile
-
     A = as_matrix(A, "A")
     b = as_vector(b, "b", dim=A.shape[0])
     started = time.perf_counter()
@@ -233,23 +207,20 @@ def adaptive_truncated_solve(
     return _outcome("adaptive_truncated", A, b, x, int(k), p, started)
 
 
-def tikhonov_solve(
-    A: np.ndarray,
-    b: np.ndarray,
-    lambdas: np.ndarray,
-    factorization: ThinSVD | None = None,
-) -> SolveOutcome:
+def tikhonov_solve(A: np.ndarray, b: np.ndarray, lambdas: np.ndarray | float) -> SolveOutcome:
     """Per-component ridge-filtered solution.
 
     Each singular component of the expansion is damped by the filter factor
     ``sigma_i^2 / (sigma_i^2 + lambda_i^2)``; ``lambdas`` must supply one
-    nonnegative value per nonzero singular value of A.
+    nonnegative value per nonzero singular value of A, or a single value
+    that damps every component.
     """
     A = as_matrix(A, "A")
     b = as_vector(b, "b", dim=A.shape[0])
     started = time.perf_counter()
-    F = factorization if factorization is not None else thin_svd(A)
-    lam = as_vector(lambdas, "lambdas", dim=F.rank)
+    F = thin_svd(A)
+    lam = np.asarray(lambdas, dtype=np.float64)
+    lam = as_vector(np.full(F.rank, lam.item()) if lam.size == 1 else lam, "lambdas", dim=F.rank)
     if np.any(lam < 0.0):
         raise ValueError("lambdas must be nonnegative")
     coefficients = (F.sigma * (F.U.T @ b)) / (F.sigma**2 + lam**2)
@@ -257,16 +228,11 @@ def tikhonov_solve(
     return _outcome("tikhonov", A, b, x, None, None, started)
 
 
-def full_ls_solve(
-    A: np.ndarray,
-    b: np.ndarray,
-    factorization: ThinSVD | None = None,
-) -> SolveOutcome:
+def full_ls_solve(A: np.ndarray, b: np.ndarray) -> SolveOutcome:
     """Minimum-norm least-squares solution through every nonzero singular
     triple (the pseudo-inverse applied to b)."""
     A = as_matrix(A, "A")
     b = as_vector(b, "b", dim=A.shape[0])
     started = time.perf_counter()
-    F = factorization if factorization is not None else thin_svd(A)
-    x = solve_factored(F, b)
+    x = solve_factored(thin_svd(A), b)
     return _outcome("full_ls", A, b, x, None, None, started)

@@ -12,9 +12,10 @@ one QR at the end, which completes a rank-deficient iterate with orthonormal
 columns.  One Ritz step, :func:`ritz_factorization`, turns any such basis
 into a rank-k factorization (Alg. 5.1): the thin SVD of the small l-by-n
 cross product ``Q^T A``, whose k leading triples, lifted by Q, are the rank-k
-truncation of the projected matrix ``Q Q^T A``.  It is the one place that
-refuses rank loss: fewer than k numerically nonzero singular values raise
-:class:`RankDeficient`.  The m-by-n projection itself is never materialized.
+truncation of the projected matrix ``Q Q^T A``.  It takes them through
+:func:`trunclsq.linalg.leading_factors`, so fewer than k numerically nonzero
+singular values raise :class:`InvalidTruncation`, as in the exact solve.  The
+m-by-n projection itself is never materialized.
 :func:`power_iterates` hands the same loop to callers that decide the depth
 while iterating, and they finish with the same Ritz step.
 """
@@ -27,8 +28,15 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import InvalidTruncation, RankDeficient
-from .linalg import ThinSVD, TruncatedFactorization, as_matrix, qr_factor, thin_svd
+from .errors import InvalidTruncation
+from .linalg import (
+    ThinSVD,
+    TruncatedFactorization,
+    as_matrix,
+    leading_factors,
+    qr_factor,
+    thin_svd,
+)
 from .sketch import RngSeed, gaussian_matrix
 
 __all__ = [
@@ -148,7 +156,7 @@ def power_basis_from_sketch(A: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
     ``(A A^T)^p A S``; the QR completes a rank-deficient iterate with
     orthonormal columns.  Fully deterministic in its inputs: no randomness
     beyond the given sketch."""
-    return qr_factor(power_product(A, S, p)).Q
+    return qr_factor(power_product(A, S, p))[0]
 
 
 def power_basis(A: np.ndarray, k: int, p: int, seed: RngSeed) -> np.ndarray:
@@ -170,17 +178,15 @@ def ritz_factorization(
     """The Ritz step on an orthonormal basis ``Q`` of ``A``'s sketched range.
 
     Returns the thin SVD of the cross product ``Q^T A`` and its k leading
-    triples lifted to ``U = Q @ U_small``, ``sigma = sigma_small``,
-    ``V = V_small``, tagged ``kind="approximate"``: the rank-k truncation of
-    the projected matrix ``Q Q^T A``.  A cross product of numerical rank
-    below k raises :class:`RankDeficient`.
+    triples from :func:`trunclsq.linalg.leading_factors`, lifted to
+    ``U = Q @ U_small`` and tagged ``kind="approximate"``: the rank-k
+    truncation of the projected matrix ``Q Q^T A``.  A cross product of
+    numerical rank below k raises :class:`InvalidTruncation`.
     """
-    k = int(k)
     ritz = thin_svd(Q.T @ A)
-    if ritz.rank < k:
-        raise RankDeficient(f"projected cross product lost rank: {ritz.rank} < k = {k}")
+    head = leading_factors(ritz, k)
     return ritz, TruncatedFactorization(
-        U=Q @ ritz.U[:, :k], sigma=ritz.sigma[:k], V=ritz.V[:, :k], k=k, kind="approximate"
+        U=Q @ head.U, sigma=head.sigma, V=head.V, k=head.k, kind="approximate"
     )
 
 
@@ -190,7 +196,7 @@ def approx_truncated_svd(A: np.ndarray, k: int, p: int, seed: RngSeed) -> Trunca
 
     With Q that basis, ``U @ diag(sigma) @ V.T`` is the rank-k truncation of
     ``Q Q^T A`` to working precision; a cross product of numerical rank below
-    k raises :class:`RankDeficient`.
+    k raises :class:`InvalidTruncation`.
     """
     A = as_matrix(A, "A")
     return ritz_factorization(A, power_basis(A, k, p, seed), k)[1]

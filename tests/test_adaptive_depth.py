@@ -14,8 +14,8 @@ import pytest
 
 from helpers import hard_spectrum_problem, random_orthonormal
 from trunclsq import (
+    InvalidTruncation,
     NoSpectralGap,
-    RankDeficient,
     RngSeed,
     adaptive_truncated_solve,
     approx_truncated_solve,
@@ -27,7 +27,7 @@ from trunclsq import (
     save_vector,
     synthetic_problem,
 )
-from trunclsq import bounds as bounds_module
+from trunclsq import regression as regression_module
 from trunclsq.cli import main
 
 
@@ -125,7 +125,7 @@ def test_exact_rank_k_stops_before_any_pass():
 def test_depth_stops_at_the_cap(monkeypatch, cap):
     # gap 0.99 at k: x is far from settled after a handful of passes.
     problem = synthetic_problem(60, 4, 0.99, 0.2, RngSeed(5))
-    monkeypatch.setattr(bounds_module, "choose_power_depth", lambda *args: cap)
+    monkeypatch.setattr(regression_module, "choose_power_depth", lambda *args: cap)
     approx = adaptive_truncated_solve(problem.A, problem.b, 4, 0.01, 0.1, RngSeed(6))
     assert approx.p == cap
 
@@ -162,10 +162,21 @@ def test_stops_on_the_fixed_depth_solution_below_the_sketch_width():
     np.testing.assert_allclose(approx.x, exact, rtol=0.0, atol=1e-12)
 
 
-def test_rank_below_k_is_rank_deficient():
-    with pytest.raises(RankDeficient, match="lost rank"):
-        adaptive_truncated_solve(np.diag([4.0, 3.0, 0.0, 0.0, 0.0, 0.0]), np.arange(1.0, 7.0),
-                                 3, 0.05, 0.1, RngSeed(1))
+@pytest.mark.parametrize("diagonal, k", [([4.0, 3.0, 0.0, 0.0, 0.0, 0.0], 3),
+                                         ([3.0, 2.0, 1.0, 0.0, 0.0], 4)],
+                         ids=["rank-2-at-k3", "rank-3-at-k4"])
+@pytest.mark.parametrize("solve", [
+    lambda A, b, k: exact_truncated_solve(A, b, k),
+    lambda A, b, k: approx_truncated_solve(A, b, k, 3, RngSeed(1)),
+    lambda A, b, k: adaptive_truncated_solve(A, b, k, 0.05, 0.1, RngSeed(1)),
+    lambda A, b, k: gap_profile(A, k),
+], ids=["exact", "approx", "adaptive", "gap_profile"])
+def test_rank_below_k_is_an_invalid_truncation(solve, diagonal, k):
+    # One level check for every solver: the exact SVD and the Ritz step both
+    # see rank k - 1 and refuse it the same way.
+    A = np.diag(diagonal)
+    with pytest.raises(InvalidTruncation, match=rf"k={k} must satisfy 1 <= k <= rank \({k - 1}\)"):
+        solve(A, np.arange(1.0, A.shape[0] + 1.0), k)
 
 
 def test_cli_runs_give_byte_identical_stdout(tmp_path):

@@ -335,12 +335,20 @@ class TestLowerBoundInstance:
         with pytest.raises(ValueError, match="level"):
             lower_bound_instance(A, approx, 3)
 
-    def test_rejects_level_without_tail(self):
+    def test_certificate_holds_at_level_equal_to_rank(self):
+        # No tail: the sketched factors capture all of A, so the instance
+        # separates nothing and both solvers fit b.
         rng = np.random.default_rng(114)
         A = rank_k_matrix(rng, 8, 6, 3)
         approx = approx_truncated_svd(A, 3, 2, RngSeed(115))
-        with pytest.raises(InvalidTruncation):
-            lower_bound_instance(A, approx, 3)
+        result = lower_bound_instance(A, approx, 3)
+        assert result.negligible
+        rhs_norm = np.linalg.norm(result.b)
+        assert rhs_norm > 0.0
+        assert exact_truncated_solve(A, result.b, 3).residual_norm <= 1e-8 * rhs_norm
+        x_approx = approx.V @ ((approx.U.T @ result.b) / approx.sigma)
+        approx_residual = np.linalg.norm(A @ x_approx - result.b)
+        assert approx_residual >= (result.epsilon_star - 1e-8) * rhs_norm
 
     def test_rejects_factor_shape_mismatch(self):
         A = gaussian_matrix(10, 8, RngSeed(116))

@@ -17,9 +17,8 @@ from trunclsq import (
     reconstruct,
     spectral_norm,
     thin_svd,
-    truncate,
 )
-from trunclsq.linalg import SVD_RANK_FACTOR, as_matrix, as_vector
+from trunclsq.linalg import SVD_RANK_FACTOR, as_matrix, as_vector, leading_factors
 
 
 class TestValidation:
@@ -53,50 +52,50 @@ class TestQrFactor:
     def test_orthonormal_input_passes_through(self):
         rng = np.random.default_rng(5)
         M = np.linalg.qr(rng.standard_normal((6, 3)))[0]
-        factors = qr_factor(M)
-        signs = np.sign(np.diag(factors.R))
-        assert_allclose(factors.Q * signs, M, atol=1e-12)
-        assert_allclose(np.abs(np.diag(factors.R)), np.ones(3), atol=1e-12)
+        Q, R = qr_factor(M)
+        signs = np.sign(np.diag(R))
+        assert_allclose(Q * signs, M, atol=1e-12)
+        assert_allclose(np.abs(np.diag(R)), np.ones(3), atol=1e-12)
 
     def test_single_column_normalization(self):
-        factors = qr_factor(np.array([[3.0], [4.0]]))
-        assert_allclose(np.abs(factors.R), [[5.0]], atol=1e-14)
-        assert_allclose(np.abs(factors.Q[:, 0]), [0.6, 0.8], atol=1e-14)
+        Q, R = qr_factor(np.array([[3.0], [4.0]]))
+        assert_allclose(np.abs(R), [[5.0]], atol=1e-14)
+        assert_allclose(np.abs(Q[:, 0]), [0.6, 0.8], atol=1e-14)
 
     def test_reconstruction_residual(self):
         rng = np.random.default_rng(7)
         M = rng.standard_normal((6, 3))
-        factors = qr_factor(M)
-        err = spectral_norm_oracle(M - factors.Q @ factors.R)
+        Q, R = qr_factor(M)
+        err = spectral_norm_oracle(M - Q @ R)
         assert err <= 1e-12 * spectral_norm_oracle(M)
 
     def test_q_is_orthonormal(self):
         rng = np.random.default_rng(8)
-        factors = qr_factor(rng.standard_normal((9, 4)))
-        assert np.max(np.abs(factors.Q.T @ factors.Q - np.eye(4))) <= 1e-12
+        Q, _ = qr_factor(rng.standard_normal((9, 4)))
+        assert np.max(np.abs(Q.T @ Q - np.eye(4))) <= 1e-12
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError, match="rows >= cols"):
             qr_factor(np.ones((2, 3)))
 
     def test_zero_matrix_gets_an_orthonormal_q(self):
-        factors = qr_factor(np.zeros((4, 2)))
-        assert np.max(np.abs(factors.Q.T @ factors.Q - np.eye(2))) <= 1e-12
-        assert not factors.R.any()
+        Q, R = qr_factor(np.zeros((4, 2)))
+        assert np.max(np.abs(Q.T @ Q - np.eye(2))) <= 1e-12
+        assert not R.any()
 
     def test_zero_threshold_accepts_ill_conditioned_input(self):
         rng = np.random.default_rng(10)
         M = rank_k_matrix(rng, 8, 3, 3, sigma=[1.0, 1e-7, 1e-14])
-        factors = qr_factor(M)
-        assert np.max(np.abs(factors.Q.T @ factors.Q - np.eye(3))) <= 1e-12
+        Q, _ = qr_factor(M)
+        assert np.max(np.abs(Q.T @ Q - np.eye(3))) <= 1e-12
 
     def test_deterministic_bits(self):
         rng = np.random.default_rng(12)
         M = rng.standard_normal((7, 3))
-        first = qr_factor(M)
-        second = qr_factor(M.copy())
-        assert np.array_equal(first.Q, second.Q)
-        assert np.array_equal(first.R, second.R)
+        Q, R = qr_factor(M)
+        Q_again, R_again = qr_factor(M.copy())
+        assert np.array_equal(Q, Q_again)
+        assert np.array_equal(R, R_again)
 
 
 class TestThinSvd:
@@ -220,9 +219,11 @@ class TestSpectralNorm:
 
 
 class TestTruncate:
+    """The k leading triples of a thin SVD (``leading_factors``)."""
+
     def test_diagonal_truncation(self):
         F = thin_svd(np.diag([3.0, 2.0, 1.0]))
-        A2 = truncate(F, 2)
+        A2 = leading_factors(F, 2)
         assert_allclose(reconstruct(A2), np.diag([3.0, 2.0, 0.0]), atol=1e-12)
         assert_allclose(
             spectral_norm_oracle(np.diag([3.0, 2.0, 1.0]) - reconstruct(A2)), 1.0, rtol=1e-10
@@ -232,29 +233,30 @@ class TestTruncate:
         rng = np.random.default_rng(51)
         M = rank_k_matrix(rng, 5, 4, 2, sigma=[3.0, 1.5])
         F = thin_svd(M)
-        A1 = truncate(F, 1)
+        A1 = leading_factors(F, 1)
         assert_allclose(spectral_norm_oracle(M - reconstruct(A1)), 1.5, rtol=1e-10)
 
     def test_beats_random_competitors(self):
         rng = np.random.default_rng(52)
         M = rng.standard_normal((5, 5))
         F = thin_svd(M)
-        A3 = reconstruct(truncate(F, 3))
+        A3 = reconstruct(leading_factors(F, 3))
         best = spectral_norm_oracle(M - A3)
         for _ in range(100):
             X = rank_k_matrix(rng, 5, 5, 3, sigma=rng.uniform(0.5, 3.0, size=3))
             assert best <= spectral_norm_oracle(M - X) + 1e-12
 
-    def test_rejects_k_at_or_above_rank(self):
+    def test_accepts_k_at_rank_and_rejects_above_rank_or_zero(self):
         F = thin_svd(np.diag([3.0, 2.0, 1.0]))
+        assert_allclose(reconstruct(leading_factors(F, 3)), np.diag([3.0, 2.0, 1.0]), atol=1e-12)
+        with pytest.raises(InvalidTruncation, match="rank \\(3\\)"):
+            leading_factors(F, 4)
         with pytest.raises(InvalidTruncation):
-            truncate(F, 3)
-        with pytest.raises(InvalidTruncation):
-            truncate(F, 0)
+            leading_factors(F, 0)
 
     def test_kind_tag(self):
         F = thin_svd(np.diag([3.0, 2.0, 1.0]))
-        assert truncate(F, 1).kind == "exact"
+        assert leading_factors(F, 1).kind == "exact"
 
 
 class TestPerturbationInequalities:

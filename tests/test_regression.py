@@ -18,9 +18,9 @@ from trunclsq import (
     pseudo_inverse,
     thin_svd,
     tikhonov_solve,
-    truncate,
 )
 from trunclsq import regression as regression_module
+from trunclsq.linalg import leading_factors
 
 DIAG = np.diag([4.0, 3.0, 2.0, 1.0])
 
@@ -47,18 +47,8 @@ class TestExactTruncatedSolve:
         b = rng.standard_normal(9)
         for k in (1, 3, 5):
             outcome = exact_truncated_solve(A, b, k)
-            reference = pseudo_inverse(truncate(thin_svd(A), k)) @ b
+            reference = pseudo_inverse(leading_factors(thin_svd(A), k)) @ b
             assert np.linalg.norm(outcome.x - reference) <= 1e-10
-
-    def test_precomputed_factorization_matches_internal(self):
-        rng = np.random.default_rng(61)
-        A = rng.standard_normal((8, 6))
-        b = rng.standard_normal(8)
-        F = thin_svd(A)
-        direct = exact_truncated_solve(A, b, 3)
-        shared = exact_truncated_solve(A, b, 3, factorization=F)
-        assert np.array_equal(direct.x, shared.x)
-        assert direct.residual_norm == shared.residual_norm
 
     def test_level_bounds(self):
         b = np.ones(4)
@@ -161,6 +151,15 @@ class TestTikhonovSolve:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             tikhonov_solve(DIAG, np.ones(4), np.ones(3))
+
+    def test_one_value_damps_every_component(self):
+        A = gaussian_matrix(50, 40, RngSeed(74))
+        b = gaussian_vector(50, RngSeed(75))
+        one = tikhonov_solve(A, b, 0.3)
+        each = tikhonov_solve(A, b, np.full(40, 0.3))
+        assert one.x.tobytes() == each.x.tobytes()
+        with pytest.raises(ValueError, match="lambdas must have length 40"):
+            tikhonov_solve(A, b, [0.3, 0.3])
 
     def test_rejects_negative_damping(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from helpers import hard_spectrum_problem, projection_distance_oracle, rank_k_matrix
 from trunclsq import (
     InvalidTruncation,
-    RankDeficient,
     RngSeed,
     approx_truncated_svd,
     gaussian_matrix,
@@ -217,8 +216,10 @@ class TestApproxTruncatedSvd:
         assert np.array_equal(first.sigma, second.sigma)
         assert np.array_equal(first.V, second.V)
 
-    def test_rank_deficient_matrix_rejected_at_requested_level(self):
-        rng = np.random.default_rng(56)
-        A = rank_k_matrix(rng, 10, 8, 2)
-        with pytest.raises(RankDeficient):
-            approx_truncated_svd(A, 3, 1, RngSeed(57))
+    @pytest.mark.parametrize("A, k", [
+        (rank_k_matrix(np.random.default_rng(56), 10, 8, 2), 3),
+        (np.diag([3.0, 2.0, 1.0, 0.0, 0.0]), 4),
+    ], ids=["rank-2-at-k3", "diag-rank-3-at-k4"])
+    def test_rank_deficient_matrix_rejected_at_requested_level(self, A, k):
+        with pytest.raises(InvalidTruncation, match=rf"rank \({k - 1}\)"):
+            approx_truncated_svd(A, k, 1, RngSeed(57))

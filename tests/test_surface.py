@@ -4,7 +4,8 @@ A name a module lists in ``__all__`` must be read somewhere in the package's
 modules (the package root's re-exports do not count), or be documented in
 README.md as part of the public interface, and it must be defined in that
 module: only the package root re-exports.  A name a module imports at module
-level must be read in that module or listed in its ``__all__``.
+level must be read in that module or listed in its ``__all__``, and no module
+imports inside a function, which would hide an import cycle.
 """
 
 import ast
@@ -88,3 +89,14 @@ def unused_imports(path):
 def test_every_module_level_import_is_read():
     unused = sorted(f"{path.name}:{name}" for path in SOURCES for name in unused_imports(path))
     assert unused == []
+
+
+def test_no_import_below_module_level():
+    nested = sorted(
+        f"{path.name}:{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(inner, (ast.Import, ast.ImportFrom)) for inner in ast.walk(node))
+    )
+    assert nested == []
