@@ -155,14 +155,28 @@ def spectral_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(as_matrix(M, "M"), 2))
 
 
+def _check_level(k: int, rows: int, cols: int) -> int:
+    """The level check every solver makes on an m-by-n matrix before it
+    looks at the rank: ``1 <= k <= min(rows, cols)``, else
+    :class:`InvalidTruncation`."""
+    k = int(k)
+    if not 1 <= k <= min(rows, cols):
+        raise InvalidTruncation(
+            f"truncation level k={k} must satisfy 1 <= k <= min(rows, cols) ({min(rows, cols)})"
+        )
+    return k
+
+
 def leading_factors(F: ThinSVD, k: int) -> TruncatedFactorization:
     """The k leading singular triples of a thin SVD, tagged ``"exact"``.
 
     Requires ``1 <= k <= F.rank``; anything else raises
-    :class:`InvalidTruncation`.  ``k == F.rank`` keeps every triple.
+    :class:`InvalidTruncation`, worded as the sketched solves' check on the
+    factored matrix's shape when k is outside ``1 <= k <= min(rows, cols)``.
+    ``k == F.rank`` keeps every triple.
     """
-    k = int(k)
-    if not 1 <= k <= F.rank:
+    k = _check_level(k, F.U.shape[0], F.V.shape[0])
+    if k > F.rank:
         raise InvalidTruncation(
             f"truncation level k={k} must satisfy 1 <= k <= rank ({F.rank})"
         )

@@ -126,9 +126,11 @@ def approx_truncated_solve(
     Uses the sketched rank-k factorization after p power-iteration passes;
     the cost is dominated by ``O(m n (k + s) (p + 1))`` multiply-adds, with
     ``s = 4`` oversampling columns, instead of a full SVD.  On a square or
-    wide A whose head is not too spread, the passes after about
-    ``n / (2 (k + s))`` run on ``A A^T``, so a deep solve costs
-    ``O(m^2 n + m^2 (k + s) p)``.  Raises
+    wide A whose head is not too spread, a solve with more than about
+    ``n / (2 (k + s))`` passes left after the first runs them on ``A A^T``
+    and its squares ``(A A^T)^(2^j)``, so a deep solve costs
+    ``O(m^2 n + J m^3 + m^2 (k + s) (p / 2^J + J))`` for the J squarings
+    that repay themselves.  Raises
     :class:`IllConditionedTruncation` when the recovered k-th singular value
     falls below ``SIGMA_RATIO_FLOOR`` times the first.
     """
@@ -178,8 +180,10 @@ def adaptive_truncated_solve(
       ``(epsilon, delta)``, evaluated on the current Ritz values and recomputed
       at every solve.
 
-    ``p`` of the outcome is the number of passes run, and x is bitwise the x
-    of ``approx_truncated_solve(A, b, k, p, seed)``.  A tied spectrum raises
+    ``p`` of the outcome is the number of passes run, and x is the x of
+    ``approx_truncated_solve(A, b, k, p, seed)``: bitwise on a tall A, and to
+    rounding on a square or wide one, where the fixed-depth walk takes its
+    passes in steps on powers of ``A A^T``.  A tied spectrum raises
     :class:`NoSpectralGap` like the depth rule does, a cross product of rank
     below k raises :class:`InvalidTruncation`, and a recovered k-th singular
     value below ``SIGMA_RATIO_FLOOR`` times the first raises

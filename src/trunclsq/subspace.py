@@ -1,37 +1,43 @@
 """Randomized subspace iteration and the sketched truncated SVD.
 
-One loop serves every depth mode.  It draws an n-by-l Gaussian sketch S,
-oversampled to ``l = min(k + 4, m, n)`` columns, and runs passes
-``Y <- A (A^T Y)`` from ``Y = A S``, replacing Y by the Q of its QR after the
-first pass and then only when the schedule of :func:`_iterates` calls for it
-(Halko, Martinsson & Tropp 2011, arXiv:0909.4061, Alg. 4.4).  On a square or
-wide A, once forming ``G = A A^T`` has paid for itself and the block is not
-too spread for G's rounding, later passes run as ``Y <- G Y``.  The fixed-depth
-range finder orthonormalizes the p-th iterate to the m-by-l basis ``Q`` with
-one QR at the end, which completes a rank-deficient iterate with orthonormal
-columns.  One Ritz step, :func:`ritz_factorization`, turns any such basis
-into a rank-k factorization (Alg. 5.1): the thin SVD of the small l-by-n
-cross product ``Q^T A``, whose k leading triples, lifted by Q, are the rank-k
-truncation of the projected matrix ``Q Q^T A``.  It takes them through
-:func:`trunclsq.linalg.leading_factors`, so fewer than k numerically nonzero
-singular values raise :class:`InvalidTruncation`, as in the exact solve.  The
-m-by-n projection itself is never materialized.
-:func:`power_iterates` hands the same loop to callers that decide the depth
-while iterating, and they finish with the same Ritz step.
+The iteration draws an n-by-l Gaussian sketch S, oversampled to
+``l = min(k + 4, m, n)`` columns, and runs passes ``Y <- A (A^T Y)`` from
+``Y = A S``, replacing Y by the Q of its QR after the first pass and then
+only when the spread and drift the last QR read call for it (Halko,
+Martinsson & Tropp 2011, arXiv:0909.4061, Alg. 4.4).  On a square or wide A,
+passes run as ``Y <- G Y`` on ``G = A A^T`` once forming G pays for itself
+and the block is not too spread for G's rounding.  A walk that knows its
+depth, :func:`power_product`, plans on the passes it has left: it forms G as
+soon as they repay it, and climbs to the rungs ``G^2, G^4, ...``, each
+squared from the one before, while the steps a rung saves repay its m^3
+flops and one step on it stays within G's rounding gate; a step on
+``G^(2^j)`` runs ``2^j`` passes.  :func:`power_iterates` hands the loop to
+callers that decide the depth while iterating; it yields every pass, so it
+climbs no higher than G.
+
+The fixed-depth range finder orthonormalizes the p-th iterate to the m-by-l
+basis ``Q`` with one QR at the end, which completes a rank-deficient iterate
+with orthonormal columns.  One Ritz step, :func:`ritz_factorization`, turns
+any such basis into a rank-k factorization (Alg. 5.1): the thin SVD of the
+small l-by-n cross product ``Q^T A``, whose k leading triples, lifted by Q,
+are the rank-k truncation of the projected matrix ``Q Q^T A``.  It takes them
+through :func:`trunclsq.linalg.leading_factors`, so fewer than k numerically
+nonzero singular values raise :class:`InvalidTruncation`, as in the exact
+solve.  The m-by-n projection itself is never materialized.  Callers of
+:func:`power_iterates` finish with the same Ritz step.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import InvalidTruncation
 from .linalg import (
     ThinSVD,
     TruncatedFactorization,
+    _check_level,
     as_matrix,
     leading_factors,
     qr_factor,
@@ -65,9 +71,11 @@ _DRIFT_LIMIT = 1e100
 
 # A Gram pass rounds G = A A^T's entries at about n eps sigma_1^2, which
 # reaches the k-th direction at about n eps (sigma_1/sigma_k)^2 where a
-# two-product pass gives n eps (sigma_1/sigma_k); _iterates runs Gram passes
-# only while a pass spreads the block by at most _GRAM_SPREAD_LIMIT, that is
+# two-product pass gives n eps (sigma_1/sigma_k); Gram passes run only while
+# a pass spreads the block by at most _GRAM_SPREAD_LIMIT, that is
 # sigma_1/sigma_l below about 100 (Halko, Martinsson & Tropp 2011, Sec. 4.5).
+# A step on the rung G^(2^j) rounds at (sigma_1/sigma_k)^(2^(j+1)), so it
+# runs only while its 2^j passes spread the block by at most as much.
 _GRAM_SPREAD_LIMIT = 1e4
 
 
@@ -78,31 +86,44 @@ def _validate_depth(p: int) -> int:
     return p
 
 
-def _validate_level(A: np.ndarray, k: int) -> int:
-    k = int(k)
-    m, n = A.shape
-    if not 1 <= k <= min(m, n):
-        raise InvalidTruncation(
-            f"truncation level k={k} must satisfy 1 <= k <= min(rows, cols) ({min(m, n)})"
-        )
-    return k
-
-
 def _sketch_width(A: np.ndarray, k: int) -> int:
     return min(k + _OVERSAMPLING, *A.shape)
 
 
-def _gram(A: np.ndarray) -> np.ndarray:
-    """``A A^T``, formed once per iteration; numpy computes it as one
-    symmetric rank-n update (BLAS syrk)."""
-    return A @ A.T
+def _gram(M: np.ndarray) -> np.ndarray:
+    """``M M^T``; numpy computes it as one symmetric rank update (BLAS syrk)."""
+    return M @ M.T
+
+
+def _rung(M: np.ndarray) -> np.ndarray:
+    """The next rung of the Gram ladder, ``M M^T``: ``G = A A^T`` from A, and
+    ``G^(2^(j+1))`` from the rung ``G^(2^j)``, which is symmetric.  The rung
+    is scaled in place by the power of two that brings its trace into
+    [0.5, 1): exact in binary, and it keeps ``sigma_1^(2^(j+1))`` inside
+    float64's range however high the ladder climbs."""
+    G = _gram(M)
+    G *= np.ldexp(1.0, -np.frexp(G.trace())[1])
+    return G
+
+
+def _orthonormalize(Y: np.ndarray, passes: int) -> tuple[np.ndarray, float, float]:
+    """The Q of Y's QR, with what ``|diag R|`` reads after ``passes`` passes
+    since the last QR: the growth per pass over ``_SPREAD_LIMIT`` or
+    ``_DRIFT_LIMIT``, whichever is nearer, and the log spread per pass."""
+    Y, R = np.linalg.qr(Y)
+    logs = np.log(np.maximum(np.abs(np.diag(R)), np.finfo(np.float64).tiny))
+    spread = logs.max() - logs.min()
+    rate = max(spread / np.log(_SPREAD_LIMIT),
+               np.abs(logs).max() / np.log(_DRIFT_LIMIT)) / passes
+    return Y, rate, spread / passes
 
 
 def _iterates(A: np.ndarray, S: np.ndarray) -> Iterator[np.ndarray]:
     """``Y_0 = A S``, then ``Y_p = A (A^T Y_{p-1})`` for p = 1, 2, ... without
-    end.  Y goes through a QR after pass 1, and after that before any pass
-    that, at the per-pass spread ``max/min |R_ii|`` and drift ``max |ln |R_ii||``
-    the last QR read, could exceed ``_SPREAD_LIMIT`` or ``_DRIFT_LIMIT``.
+    end, for a walk that does not know its depth.  Y goes through a QR after
+    pass 1, and after that before any pass that, at the per-pass spread
+    ``max/min |R_ii|`` and drift ``max |ln |R_ii||`` the last QR read, could
+    exceed ``_SPREAD_LIMIT`` or ``_DRIFT_LIMIT``.
 
     When ``m <= n``, a pass runs as ``Y <- G Y`` on ``G = A A^T``, formed once,
     while two gates hold.  First, the loop has run the break-even count
@@ -119,12 +140,8 @@ def _iterates(A: np.ndarray, S: np.ndarray) -> Iterator[np.ndarray]:
     passes, rate = 0, 1.0  # passes since the last QR, growth per pass over the limits
     while True:
         if (passes + 1) * rate > 1.0:
-            Y, R = np.linalg.qr(Y)
-            logs = np.log(np.maximum(np.abs(np.diag(R)), np.finfo(np.float64).tiny))
-            spread = logs.max() - logs.min()
-            rate = max(spread / np.log(_SPREAD_LIMIT),
-                       np.abs(logs).max() / np.log(_DRIFT_LIMIT)) / passes
-            narrow = spread / passes <= np.log(_GRAM_SPREAD_LIMIT)
+            Y, rate, spread = _orthonormalize(Y, passes)
+            narrow = spread <= np.log(_GRAM_SPREAD_LIMIT)
             passes = 0
         if narrow and two_product_passes >= breakeven:
             if G is None:
@@ -135,6 +152,63 @@ def _iterates(A: np.ndarray, S: np.ndarray) -> Iterator[np.ndarray]:
             two_product_passes += 1
         passes += 1
         yield Y
+
+
+def _climbs(A: np.ndarray, width: int, left: int, level: int, spread: float) -> bool:
+    """Whether a fixed-depth walk on rung ``level`` (-1 before G) with
+    ``left`` passes to go forms the next rung ``G^(2^j)``, j = level + 1.
+
+    The walk must stand where a step of ``2^j`` passes lands on the depth,
+    one such step must spread the block by at most ``_GRAM_SPREAD_LIMIT`` at
+    the per-pass ``spread`` the last QR read, and the steps the rung saves
+    must repay it.  G saves ``2 m l (2n - m)`` flops on each pass left and
+    costs ``m^2 n``; a higher rung saves one ``2 m^2 l`` step in every
+    ``2^j`` passes left and costs ``m^3``.  A tall A climbs no rung: its G
+    would be larger than A."""
+    m, n = A.shape
+    j = level + 1
+    if m > n or left % (1 << j) or spread * (1 << j) > np.log(_GRAM_SPREAD_LIMIT):
+        return False
+    if j == 0:
+        return left * 2 * width * (2 * n - m) >= m * n
+    return (left >> j) * 2 * width >= m
+
+
+def _ladder(A: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
+    """The p-th iterate on ``A S``, whose columns span ``(A A^T)^p A S``,
+    for a walk that knows its depth.
+
+    After the first two-product pass and its QR, the walk climbs the Gram
+    ladder ``G, G^2, G^4, ...`` while :func:`_climbs` allows, and a step on
+    the rung ``G^(2^j)`` runs ``2^j`` passes as one m-by-m-by-l product.  It
+    lands on p in binary-exponentiation order: a rung below the top takes a
+    step only where the passes left have bit j set, and each rung replaces
+    the one it was squared from, so at most two m-by-m matrices are alive.
+    The QR schedule is that of :func:`_iterates`, with a step counted as its
+    ``2^j`` passes, so on a tall A, where neither walk forms G, the two are
+    bitwise the same."""
+    width = S.shape[1]
+    Y = A @ S
+    if p == 0:
+        return Y
+    Y = A @ (A.T @ Y)
+    left = p - 1
+    if left == 0:
+        return Y
+    Y, rate, spread = _orthonormalize(Y, 1)
+    passes, level, rung = 0, -1, None
+    while left:
+        while _climbs(A, width, left, level, spread):
+            rung = _rung(A if rung is None else rung)
+            level += 1
+        step = 1 << max(level, 0)
+        if passes and (passes + step) * rate > 1.0:
+            Y, rate, spread = _orthonormalize(Y, passes)
+            passes = 0
+        Y = A @ (A.T @ Y) if rung is None else rung @ Y
+        left -= step
+        passes += step
+    return Y
 
 
 def power_product(A: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
@@ -148,7 +222,7 @@ def power_product(A: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
         raise ValueError(
             f"sketch must have {A.shape[1]} rows to match the matrix columns, got {S.shape[0]}"
         )
-    return next(itertools.islice(_iterates(A, S), p, None))
+    return _ladder(A, S, p)
 
 
 def power_basis_from_sketch(A: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
@@ -167,7 +241,7 @@ def power_basis(A: np.ndarray, k: int, p: int, seed: RngSeed) -> np.ndarray:
     :func:`power_basis_from_sketch` of it.
     """
     A = as_matrix(A, "A")
-    k = _validate_level(A, k)
+    k = _check_level(k, *A.shape)
     p = _validate_depth(p)
     return power_basis_from_sketch(A, gaussian_matrix(A.shape[1], _sketch_width(A, k), seed), p)
 
@@ -198,8 +272,8 @@ def approx_truncated_svd(A: np.ndarray, k: int, p: int, seed: RngSeed) -> Trunca
     ``Q Q^T A`` to working precision; a cross product of numerical rank below
     k raises :class:`InvalidTruncation`.
     """
-    A = as_matrix(A, "A")
-    return ritz_factorization(A, power_basis(A, k, p, seed), k)[1]
+    Q = power_basis(A, k, p, seed)  # validates A
+    return ritz_factorization(np.asarray(A, dtype=np.float64), Q, k)[1]
 
 
 def power_iterates(A: np.ndarray, k: int, seed: RngSeed) -> Iterator[np.ndarray]:
@@ -208,5 +282,5 @@ def power_iterates(A: np.ndarray, k: int, seed: RngSeed) -> Iterator[np.ndarray]
     end.  The caller decides when to stop by leaving the loop.
     """
     A = as_matrix(A, "A")
-    k = _validate_level(A, k)
+    k = _check_level(k, *A.shape)
     return _iterates(A, gaussian_matrix(A.shape[1], _sketch_width(A, k), seed))

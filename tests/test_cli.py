@@ -387,6 +387,19 @@ class TestErrorPaths:
         code, _, err = run_main(capsys, ["exact", matrix_path, rhs_path, "--k", "9"])
         assert code == 1
 
+    def test_level_above_the_shape_reads_the_same_for_every_solver(self, capsys, tmp_path):
+        save_matrix(np.diag(np.arange(8.0, 0.0, -1.0)), tmp_path / "A.mtx")
+        save_vector(np.ones(8), tmp_path / "b.mtx")
+        files = [str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx")]
+        errors = set()
+        for argv in (["exact", *files, "--k", "9"],
+                     ["solve", *files, "--k", "9", "--p", "3"],
+                     ["solve", *files, "--k", "9", "--epsilon", "0.05", "--delta", "0.1"]):
+            code, out, err = run_main(capsys, argv)
+            assert (code, out) == (1, "")
+            errors.add(err)
+        assert errors == {"error: truncation level k=9 must satisfy 1 <= k <= min(rows, cols) (8)\n"}
+
     @pytest.mark.parametrize(
         "argv, fragment",
         [

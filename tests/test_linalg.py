@@ -249,8 +249,11 @@ class TestTruncate:
     def test_accepts_k_at_rank_and_rejects_above_rank_or_zero(self):
         F = thin_svd(np.diag([3.0, 2.0, 1.0]))
         assert_allclose(reconstruct(leading_factors(F, 3)), np.diag([3.0, 2.0, 1.0]), atol=1e-12)
-        with pytest.raises(InvalidTruncation, match="rank \\(3\\)"):
+        # Past the shape the sketched solves' wording; within it, the rank.
+        with pytest.raises(InvalidTruncation, match="k=4 must satisfy 1 <= k <= min\\(rows, cols\\) \\(3\\)"):
             leading_factors(F, 4)
+        with pytest.raises(InvalidTruncation, match="k=3 must satisfy 1 <= k <= rank \\(2\\)"):
+            leading_factors(thin_svd(np.diag([3.0, 2.0, 0.0])), 3)
         with pytest.raises(InvalidTruncation):
             leading_factors(F, 0)
 

@@ -1,13 +1,22 @@
 """Randomized range finder and the sketched truncated factorization."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import hard_spectrum_problem, projection_distance_oracle, rank_k_matrix
+from helpers import (
+    hard_spectrum_problem,
+    projection_distance_oracle,
+    random_orthonormal,
+    rank_k_matrix,
+)
 from trunclsq import (
     InvalidTruncation,
     RngSeed,
+    approx_truncated_solve,
     approx_truncated_svd,
     gaussian_matrix,
     power_basis,
@@ -24,17 +33,36 @@ def exact_top_k(A: np.ndarray, k: int):
 
 
 @pytest.fixture
-def gram_calls(monkeypatch):
-    """Shapes of the matrices whose Gram matrix the iteration forms."""
-    calls = []
-    real = subspace_module._gram
+def ladder(monkeypatch):
+    """The Gram-ladder rungs a fixed-depth walk forms, the matrix each was
+    formed from, and the m-by-m-by-l steps taken on them."""
+    record = SimpleNamespace(sources=[], rungs=[], steps=0)
+    real = subspace_module._rung
 
-    def counting(A):
-        calls.append(A.shape)
-        return real(A)
+    class CountingRung(np.ndarray):
+        def __matmul__(self, other):
+            record.steps += 1
+            return np.asarray(self) @ other
 
-    monkeypatch.setattr(subspace_module, "_gram", counting)
-    return calls
+    def counting(M):
+        record.sources.append(M)
+        record.rungs.append(real(np.asarray(M)).view(CountingRung))
+        return record.rungs[-1]
+
+    monkeypatch.setattr(subspace_module, "_rung", counting)
+    return record
+
+
+def reference_solve(A, b, k, p, seed):
+    """The fixed-depth solve on the sketch it draws, written out with numpy:
+    p two-product passes with a QR after every pass, the Ritz step and the
+    apply."""
+    Y = A @ gaussian_matrix(A.shape[1], min(k + 4, *A.shape), seed)
+    for _ in range(p):
+        Y = A @ (A.T @ np.linalg.qr(Y)[0])
+    Q = np.linalg.qr(Y)[0]
+    U, s, Vt = np.linalg.svd(Q.T @ A, full_matrices=False)
+    return Vt[:k].T @ (((Q @ U[:, :k]).T @ b) / s[:k])
 
 
 class TestPowerProduct:
@@ -78,26 +106,69 @@ class TestPowerProduct:
         power_product(A, gaussian_matrix(A.shape[1], k + 4, RngSeed(62)), 16)
         assert len(calls) >= 13
 
-    def test_forms_the_gram_matrix_once_a_deep_solve_repays_it(self, gram_calls):
-        problem = synthetic_problem(100, 20, 0.99, 0.2, RngSeed(60))
-        Y = power_product(problem.A, gaussian_matrix(100, 24, RngSeed(61)), 47)
-        assert gram_calls == [(100, 100)]
-        assert np.all(np.isfinite(Y))
+    def test_forms_the_gram_matrix_once_a_deep_solve_repays_it(self, ladder):
+        # The paper's depth ceil(10 ln n): G = A A^T, then G^2, G^4, ...,
+        # each squared from the one before and each formed once.
+        for n, seed in [(100, 60), (500, 66)]:
+            problem = synthetic_problem(n, 20, 0.99, 0.2, RngSeed(seed))
+            A, p = problem.A, math.ceil(10 * math.log(n))
+            ladder.sources.clear()
+            ladder.rungs.clear()
+            ladder.steps = 0
+            Y = power_product(A, gaussian_matrix(n, 24, RngSeed(seed + 1)), p)
+            assert ladder.sources[0] is A and len(ladder.rungs) >= 3
+            assert all(source is rung for source, rung in zip(ladder.sources[1:], ladder.rungs))
+            for j, rung in enumerate(ladder.rungs):
+                power = np.linalg.matrix_power(A @ A.T, 2**j)
+                assert_allclose(rung / np.trace(rung), power / np.trace(power), rtol=0, atol=1e-12)
+            assert ladder.steps <= math.ceil(p / 2)
+            assert np.all(np.isfinite(Y))
 
-    @pytest.mark.parametrize("case", ["tall", "below-break-even", "hard-spectrum"])
-    def test_keeps_two_product_passes_where_the_gram_matrix_does_not_pay(
-        self, gram_calls, case
-    ):
+    @pytest.mark.parametrize(
+        "case", ["tall", "below-break-even", "hard-spectrum", "wide-hard-spectrum"]
+    )
+    def test_keeps_two_product_passes_where_the_gram_matrix_does_not_pay(self, ladder, case):
         if case == "tall":
             A, width, p = gaussian_matrix(120, 100, RngSeed(63)), 24, 47
         elif case == "below-break-even":
-            # Break-even is 200 / (2 * 24) = 4.2 two-product passes.
+            # Break-even is 200 / (2 * 24) = 4.2 two-product passes, and 2
+            # are left after the first.
             A, width, p = gaussian_matrix(200, 200, RngSeed(64)), 24, 3
         else:
+            # sigma_1/sigma_l = 1e3: one pass spreads the block by about 1e6.
             A, _, k = hard_spectrum_problem()
+            A = A.T if case == "wide-hard-spectrum" else A
             width, p = k + 4, 16
         power_product(A, gaussian_matrix(A.shape[1], width, RngSeed(65)), p)
-        assert gram_calls == []
+        assert ladder.rungs == []
+
+    def test_stops_climbing_where_a_step_would_round_past_the_gate(self, ladder):
+        # sigma_1/sigma_l is about 21: a pass spreads the block by about 430,
+        # within the 1e4 gate, and a step on G^2 by about 2e5, past it.
+        rng = np.random.default_rng(66)
+        sigma = np.concatenate([np.logspace(1.0, 0.0, 10), 0.5 * np.logspace(0.0, -1.0, 190)])
+        A = (random_orthonormal(rng, 200, 200) * sigma) @ random_orthonormal(rng, 200, 200).T
+        power_product(A, gaussian_matrix(200, 14, RngSeed(67)), 50)
+        assert len(ladder.rungs) == 1 and ladder.sources[0] is A
+
+    @pytest.mark.parametrize("n", [100, 200, 300, 400, 500])
+    def test_ladder_matches_a_qr_every_pass_reference(self, n):
+        problem = synthetic_problem(n, 20, 0.99, 0.2, RngSeed(67, n))
+        p, seed = math.ceil(10 * math.log(n)), RngSeed(68, n)
+        x = approx_truncated_solve(problem.A, problem.b, 20, p, seed).x
+        reference = reference_solve(problem.A, problem.b, 20, p, seed)
+        assert np.linalg.norm(x - reference) <= 1e-9 * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize("exponent", [300, -300])
+    def test_ladder_keeps_a_scaled_matrix_in_range(self, exponent):
+        # sigma_1^(2^j) leaves float64's range from G^4 on at either scale
+        # unless each rung is rescaled.
+        problem = synthetic_problem(200, 20, 0.99, 0.2, RngSeed(69))
+        p, seed, scale = math.ceil(10 * math.log(200)), RngSeed(70), 2.0**exponent
+        x = approx_truncated_solve(problem.A, problem.b, 20, p, seed).x
+        scaled = approx_truncated_solve(scale * problem.A, problem.b, 20, p, seed).x
+        assert np.all(np.isfinite(scaled))
+        assert np.linalg.norm(scale * scaled - x) <= 1e-8 * np.linalg.norm(x)
 
     def test_rejects_negative_depth(self):
         with pytest.raises(ValueError):
