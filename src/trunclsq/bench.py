@@ -20,8 +20,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bounds import GapProfile
-from .linalg import thin_svd
+from .bounds import GapProfile, gap_profile
+from .linalg import ThinSVD, thin_svd
 from .regression import approx_truncated_solve, exact_truncated_solve
 from .sketch import RngSeed, gaussian_matrix, gaussian_vector
 
@@ -193,14 +193,7 @@ def synthetic_problem(
     if noise > 0.0:
         b = b + noise * r2 / np.linalg.norm(r2)
 
-    profile = GapProfile(
-        sigma_1=float(sigma[0]),
-        sigma_k=float(sigma[k - 1]),
-        sigma_k_plus_1=float(sigma[k]),
-        gamma_k=float(sigma[k] / sigma[k - 1]),
-        n=n,
-        k=k,
-    )
+    profile = gap_profile(ThinSVD(U=F.U, sigma=sigma, V=F.V, rank=n), k)
     return ProblemInstance(A=A, b=b, k=k, gap_profile=profile, seed=seed)
 
 

@@ -129,10 +129,12 @@ class AdversarialInstance:
     negligible: bool
 
 
-def gap_profile(A: np.ndarray, k: int, factorization: ThinSVD | None = None) -> GapProfile:
-    """Measure the spectral profile of ``(A, k)`` from a thin SVD."""
-    A = as_matrix(A, "A")
-    F = factorization if factorization is not None else thin_svd(A)
+def gap_profile(A: np.ndarray | ThinSVD, k: int) -> GapProfile:
+    """Measure the spectral profile of ``(A, k)`` from A's thin SVD, or read
+    it off a :class:`ThinSVD` given in A's place: the Ritz values an
+    adaptive solve has, or the spectrum a generator built A from.  A level
+    outside ``1 <= k <= rank`` raises :class:`InvalidTruncation`."""
+    F = A if isinstance(A, ThinSVD) else thin_svd(as_matrix(A, "A"))
     k = leading_factors(F, k).k
     sigma_1 = float(F.sigma[0])
     sigma_k = float(F.sigma[k - 1])
@@ -142,7 +144,7 @@ def gap_profile(A: np.ndarray, k: int, factorization: ThinSVD | None = None) -> 
         sigma_k=sigma_k,
         sigma_k_plus_1=sigma_k_plus_1,
         gamma_k=sigma_k_plus_1 / sigma_k,
-        n=A.shape[1],
+        n=F.V.shape[0],
         k=k,
     )
 

@@ -198,7 +198,7 @@ def adaptive_truncated_solve(
         if p < next_solve:
             continue
         ritz, fact = ritz_factorization(A, np.linalg.qr(Y)[0], k)
-        cap = choose_power_depth(epsilon, delta, gap_profile(A, k, factorization=ritz))
+        cap = choose_power_depth(epsilon, delta, gap_profile(ritz, k))
         require_invertible(fact)
         x, previous = solve_factored(fact, b), x
         if previous is not None:

@@ -4,16 +4,17 @@ The iteration draws an n-by-l Gaussian sketch S, oversampled to
 ``l = min(k + 4, m, n)`` columns, and runs passes ``Y <- A (A^T Y)`` from
 ``Y = A S``, replacing Y by the Q of its QR after the first pass and then
 only when the spread and drift the last QR read call for it (Halko,
-Martinsson & Tropp 2011, arXiv:0909.4061, Alg. 4.4).  On a square or wide A,
-passes run as ``Y <- G Y`` on ``G = A A^T`` once forming G pays for itself
-and the block is not too spread for G's rounding.  A walk that knows its
-depth, :func:`power_product`, plans on the passes it has left: it forms G as
-soon as they repay it, and climbs to the rungs ``G^2, G^4, ...``, each
+Martinsson & Tropp 2011, arXiv:0909.4061, Alg. 4.4).  One walk serves every
+depth.  On a square or wide A whose block is not too spread for G's
+rounding, passes run as ``Y <- G Y`` on ``G = A A^T`` once G pays for
+itself: once the passes left to a known depth repay it, or, when the depth
+is unknown, once the two-product passes already run would have.  Toward a
+known depth the walk also climbs to the rungs ``G^2, G^4, ...``, each
 squared from the one before, while the steps a rung saves repay its m^3
 flops and one step on it stays within G's rounding gate; a step on
-``G^(2^j)`` runs ``2^j`` passes.  :func:`power_iterates` hands the loop to
-callers that decide the depth while iterating; it yields every pass, so it
-climbs no higher than G.
+``G^(2^j)`` runs ``2^j`` passes.  :func:`power_product` takes the walk's
+last iterate at a given depth; :func:`power_iterates` hands it, one pass a
+step, to callers that decide the depth while iterating.
 
 The fixed-depth range finder orthonormalizes the p-th iterate to the m-by-l
 basis ``Q`` with one QR at the end, which completes a rank-deficient iterate
@@ -30,6 +31,7 @@ solve.  The m-by-n projection itself is never materialized.  Callers of
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Iterator
 
 import numpy as np
@@ -62,7 +64,7 @@ __all__ = [
 # sketch are the k-wide sketch, since gaussian_matrix fills column-major.
 _OVERSAMPLING = 4
 
-# _iterates orthonormalizes before a pass could spread its columns by more
+# The walk orthonormalizes before a step could spread its columns by more
 # than _SPREAD_LIMIT, which leaves the weakest ten float64 digits above the
 # rounding of the strongest, or move their scale by more than _DRIFT_LIMIT,
 # far inside float64's 1e+-308 range.
@@ -71,11 +73,12 @@ _DRIFT_LIMIT = 1e100
 
 # A Gram pass rounds G = A A^T's entries at about n eps sigma_1^2, which
 # reaches the k-th direction at about n eps (sigma_1/sigma_k)^2 where a
-# two-product pass gives n eps (sigma_1/sigma_k); Gram passes run only while
-# a pass spreads the block by at most _GRAM_SPREAD_LIMIT, that is
-# sigma_1/sigma_l below about 100 (Halko, Martinsson & Tropp 2011, Sec. 4.5).
-# A step on the rung G^(2^j) rounds at (sigma_1/sigma_k)^(2^(j+1)), so it
-# runs only while its 2^j passes spread the block by at most as much.
+# two-product pass gives n eps (sigma_1/sigma_k); the walk forms G only where
+# the last QR read a pass spreading the block by at most _GRAM_SPREAD_LIMIT,
+# that is sigma_1/sigma_l below about 100 (Halko, Martinsson & Tropp 2011,
+# Sec. 4.5).  A step on the rung G^(2^j) rounds at
+# (sigma_1/sigma_k)^(2^(j+1)), so the walk climbs to it only where its 2^j
+# passes spread the block by at most as much.
 _GRAM_SPREAD_LIMIT = 1e4
 
 
@@ -90,18 +93,14 @@ def _sketch_width(A: np.ndarray, k: int) -> int:
     return min(k + _OVERSAMPLING, *A.shape)
 
 
-def _gram(M: np.ndarray) -> np.ndarray:
-    """``M M^T``; numpy computes it as one symmetric rank update (BLAS syrk)."""
-    return M @ M.T
-
-
 def _rung(M: np.ndarray) -> np.ndarray:
     """The next rung of the Gram ladder, ``M M^T``: ``G = A A^T`` from A, and
-    ``G^(2^(j+1))`` from the rung ``G^(2^j)``, which is symmetric.  The rung
-    is scaled in place by the power of two that brings its trace into
-    [0.5, 1): exact in binary, and it keeps ``sigma_1^(2^(j+1))`` inside
-    float64's range however high the ladder climbs."""
-    G = _gram(M)
+    ``G^(2^(j+1))`` from the rung ``G^(2^j)``, which is symmetric.  numpy
+    computes it as one symmetric rank update (BLAS syrk).  The rung is scaled
+    in place by the power of two that brings its trace into [0.5, 1): exact
+    in binary, and it keeps ``sigma_1^(2^(j+1))`` inside float64's range
+    however high the ladder climbs."""
+    G = M @ M.T
     G *= np.ldexp(1.0, -np.frexp(G.trace())[1])
     return G
 
@@ -118,103 +117,74 @@ def _orthonormalize(Y: np.ndarray, passes: int) -> tuple[np.ndarray, float, floa
     return Y, rate, spread / passes
 
 
-def _iterates(A: np.ndarray, S: np.ndarray) -> Iterator[np.ndarray]:
-    """``Y_0 = A S``, then ``Y_p = A (A^T Y_{p-1})`` for p = 1, 2, ... without
-    end, for a walk that does not know its depth.  Y goes through a QR after
-    pass 1, and after that before any pass that, at the per-pass spread
-    ``max/min |R_ii|`` and drift ``max |ln |R_ii||`` the last QR read, could
-    exceed ``_SPREAD_LIMIT`` or ``_DRIFT_LIMIT``.
+def _climbs(A: np.ndarray, width: int, level: int, spread: float, run: int,
+            depth: int | None) -> bool:
+    """Whether a walk on rung ``level`` (-1 before G) that has run ``run``
+    passes toward ``depth`` (None when unknown) forms the next rung
+    ``G^(2^j)``, j = level + 1.
 
-    When ``m <= n``, a pass runs as ``Y <- G Y`` on ``G = A A^T``, formed once,
-    while two gates hold.  First, the loop has run the break-even count
-    ``m n / (2 l (2n - m))`` of two-product passes: a Gram pass saves
-    ``2 m l (2n - m)`` of a two-product pass's ``4 m n l`` flops and G costs
-    ``m^2 n``, so a shallow run never forms G and a deep one pays for G at
-    most twice what the best schedule pays.  Second, the last QR read a
-    per-pass spread of at most ``_GRAM_SPREAD_LIMIT``."""
-    m, n = A.shape
-    Y = A @ S
-    yield Y
-    breakeven = m * n / (2 * S.shape[1] * (2 * n - m)) if m <= n else math.inf
-    G, two_product_passes, narrow = None, 0, False
-    passes, rate = 0, 1.0  # passes since the last QR, growth per pass over the limits
-    while True:
-        if (passes + 1) * rate > 1.0:
-            Y, rate, spread = _orthonormalize(Y, passes)
-            narrow = spread <= np.log(_GRAM_SPREAD_LIMIT)
-            passes = 0
-        if narrow and two_product_passes >= breakeven:
-            if G is None:
-                G = _gram(A)
-            Y = G @ Y
-        else:
-            Y = A @ (A.T @ Y)
-            two_product_passes += 1
-        passes += 1
-        yield Y
-
-
-def _climbs(A: np.ndarray, width: int, left: int, level: int, spread: float) -> bool:
-    """Whether a fixed-depth walk on rung ``level`` (-1 before G) with
-    ``left`` passes to go forms the next rung ``G^(2^j)``, j = level + 1.
-
-    The walk must stand where a step of ``2^j`` passes lands on the depth,
-    one such step must spread the block by at most ``_GRAM_SPREAD_LIMIT`` at
-    the per-pass ``spread`` the last QR read, and the steps the rung saves
-    must repay it.  G saves ``2 m l (2n - m)`` flops on each pass left and
-    costs ``m^2 n``; a higher rung saves one ``2 m^2 l`` step in every
-    ``2^j`` passes left and costs ``m^3``.  A tall A climbs no rung: its G
-    would be larger than A."""
+    One step of ``2^j`` passes must spread the block by at most
+    ``_GRAM_SPREAD_LIMIT`` at the per-pass ``spread`` the last QR read, and
+    the passes the rung saves must repay it.  G saves ``2 m l (2n - m)``
+    flops a pass and costs ``m^2 n``: it is repaid by the passes left to a
+    known depth, or else by the two-product passes already run, so that a
+    deep walk pays for G at most twice what the best schedule pays.  A higher
+    rung saves one ``2 m^2 l`` step in every ``2^j`` passes left and costs
+    ``m^3``; it is climbed only toward a known depth, where a step of ``2^j``
+    passes lands on it.  A tall A climbs no rung: its G would be larger than
+    A."""
     m, n = A.shape
     j = level + 1
-    if m > n or left % (1 << j) or spread * (1 << j) > np.log(_GRAM_SPREAD_LIMIT):
+    if m > n or spread * (1 << j) > np.log(_GRAM_SPREAD_LIMIT):
         return False
     if j == 0:
-        return left * 2 * width * (2 * n - m) >= m * n
-    return (left >> j) * 2 * width >= m
+        return (run if depth is None else depth - run) * 2 * width * (2 * n - m) >= m * n
+    if depth is None:
+        return False
+    left = depth - run
+    return not left % (1 << j) and (left >> j) * 2 * width >= m
 
 
-def _ladder(A: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
-    """The p-th iterate on ``A S``, whose columns span ``(A A^T)^p A S``,
-    for a walk that knows its depth.
+def _walk(A: np.ndarray, S: np.ndarray, depth: int | None = None) -> Iterator[np.ndarray]:
+    """The subspace iteration on ``A S``: yields ``Y = A S``, then the
+    iterate after every step, whose columns span ``(A A^T)^p A S`` after p
+    passes, up to ``depth`` passes or, when it is None, one pass a step
+    without end.
 
-    After the first two-product pass and its QR, the walk climbs the Gram
-    ladder ``G, G^2, G^4, ...`` while :func:`_climbs` allows, and a step on
-    the rung ``G^(2^j)`` runs ``2^j`` passes as one m-by-m-by-l product.  It
-    lands on p in binary-exponentiation order: a rung below the top takes a
-    step only where the passes left have bit j set, and each rung replaces
-    the one it was squared from, so at most two m-by-m matrices are alive.
-    The QR schedule is that of :func:`_iterates`, with a step counted as its
-    ``2^j`` passes, so on a tall A, where neither walk forms G, the two are
-    bitwise the same."""
+    A step is a two-product pass ``Y <- A (A^T Y)`` until :func:`_climbs`
+    forms a rung; on the rung ``G^(2^j)`` it runs ``2^j`` passes as one
+    m-by-m-by-l product.  Toward a known depth the walk lands on it in
+    binary-exponentiation order: a rung below the top takes a step only
+    where the passes left have bit j set, and each rung replaces the one it
+    was squared from, so at most two m-by-m matrices are alive.  Y goes
+    through a QR after pass 1, and after that before any step that, at the
+    per-pass spread ``max/min |R_ii|`` and drift ``max |ln |R_ii||`` the last
+    QR read, could exceed ``_SPREAD_LIMIT`` or ``_DRIFT_LIMIT``, counting a
+    step as its passes; the walk re-plans its climb after every QR."""
     width = S.shape[1]
     Y = A @ S
-    if p == 0:
-        return Y
-    Y = A @ (A.T @ Y)
-    left = p - 1
-    if left == 0:
-        return Y
-    Y, rate, spread = _orthonormalize(Y, 1)
-    passes, level, rung = 0, -1, None
-    while left:
-        while _climbs(A, width, left, level, spread):
+    yield Y
+    run, passes, rate, spread = 0, 0, 1.0, math.inf
+    level, rung = -1, None
+    while depth is None or run < depth:
+        while _climbs(A, width, level, spread, run, depth):
             rung = _rung(A if rung is None else rung)
             level += 1
         step = 1 << max(level, 0)
         if passes and (passes + step) * rate > 1.0:
             Y, rate, spread = _orthonormalize(Y, passes)
             passes = 0
+            continue
         Y = A @ (A.T @ Y) if rung is None else rung @ Y
-        left -= step
+        run += step
         passes += step
-    return Y
+        yield Y
 
 
 def power_product(A: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
     """The p-th iterate of the subspace iteration on ``A S``, whose columns
-    span ``(A A^T)^p A S``; p = 0 and 1 give ``A S`` and ``A (A^T (A S))``
-    exactly."""
+    span ``(A A^T)^p A S``: the last iterate of the walk that plans on
+    depth p.  p = 0 and 1 give ``A S`` and ``A (A^T (A S))`` exactly."""
     A = as_matrix(A, "A")
     S = as_matrix(S, "S")
     p = _validate_depth(p)
@@ -222,7 +192,7 @@ def power_product(A: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
         raise ValueError(
             f"sketch must have {A.shape[1]} rows to match the matrix columns, got {S.shape[0]}"
         )
-    return _ladder(A, S, p)
+    return deque(_walk(A, S, p), maxlen=1)[0]
 
 
 def power_basis_from_sketch(A: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
@@ -277,10 +247,13 @@ def approx_truncated_svd(A: np.ndarray, k: int, p: int, seed: RngSeed) -> Trunca
 
 
 def power_iterates(A: np.ndarray, k: int, seed: RngSeed) -> Iterator[np.ndarray]:
-    """The iterates of :func:`power_product` on the sketch :func:`power_basis`
-    draws, one pass at a time: yields ``Y_p`` for p = 0, 1, 2, ... without
-    end.  The caller decides when to stop by leaving the loop.
+    """The iterates of the subspace iteration on the sketch
+    :func:`power_basis` draws, one pass at a time: yields ``Y_p`` for
+    p = 0, 1, 2, ... without end.  The caller decides when to stop by
+    leaving the loop.  The walk does not know its depth, so it climbs no
+    higher than ``G = A A^T``; ``Y_p`` spans what :func:`power_product` gives
+    at depth p on that sketch, and on a tall A it is the same array.
     """
     A = as_matrix(A, "A")
     k = _check_level(k, *A.shape)
-    return _iterates(A, gaussian_matrix(A.shape[1], _sketch_width(A, k), seed))
+    return _walk(A, gaussian_matrix(A.shape[1], _sketch_width(A, k), seed))

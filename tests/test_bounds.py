@@ -44,8 +44,9 @@ class TestGapProfile:
         assert profile.gamma_k == 0.0
 
     def test_precomputed_factorization_accepted(self):
-        F = thin_svd(DIAG)
-        assert gap_profile(DIAG, 2, factorization=F) == gap_profile(DIAG, 2)
+        assert gap_profile(thin_svd(DIAG), 2) == gap_profile(DIAG, 2)
+        with pytest.raises(InvalidTruncation):
+            gap_profile(thin_svd(np.diag([3.0, 2.0, 0.0])), 3)
 
     def test_level_out_of_range(self):
         with pytest.raises(InvalidTruncation):

@@ -1,6 +1,7 @@
 """Randomized range finder and the sketched truncated factorization."""
 
 import math
+from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,8 +35,8 @@ def exact_top_k(A: np.ndarray, k: int):
 
 @pytest.fixture
 def ladder(monkeypatch):
-    """The Gram-ladder rungs a fixed-depth walk forms, the matrix each was
-    formed from, and the m-by-m-by-l steps taken on them."""
+    """The Gram-ladder rungs a walk forms, the matrix each was formed from,
+    and the m-by-m-by-l steps taken on them."""
     record = SimpleNamespace(sources=[], rungs=[], steps=0)
     real = subspace_module._rung
 
@@ -177,6 +178,39 @@ class TestPowerProduct:
     def test_rejects_sketch_row_mismatch(self):
         with pytest.raises(ValueError, match="rows"):
             power_product(np.eye(3), np.ones((4, 2)), 0)
+
+
+class TestPowerIterates:
+    @pytest.mark.parametrize("n", [100, 500])
+    def test_spans_what_the_fixed_depth_walk_gives(self, ladder, n):
+        # The walk without a depth stops at G; the one toward p forms G, G^2
+        # and G^4 at least, and lands on the same subspace.
+        problem = synthetic_problem(n, 20, 0.99, 0.2, RngSeed(73, n))
+        p, seed = math.ceil(10 * math.log(n)), RngSeed(74, n)
+        Y = next(islice(subspace_module.power_iterates(problem.A, 20, seed), p, None))
+        assert len(ladder.rungs) == 1
+        Z = power_product(problem.A, gaussian_matrix(n, 24, seed), p)
+        assert len(ladder.rungs) >= 4
+        assert projection_distance_oracle(np.linalg.qr(Y)[0], np.linalg.qr(Z)[0]) <= 1e-10
+
+    def test_is_the_fixed_depth_iterate_on_a_tall_matrix(self):
+        A = gaussian_matrix(90, 40, RngSeed(75))
+        p, seed = math.ceil(10 * math.log(40)), RngSeed(76)
+        Y = next(islice(subspace_module.power_iterates(A, 5, seed), p, None))
+        assert np.array_equal(Y, power_product(A, gaussian_matrix(40, 9, seed), p))
+
+    def test_forms_the_gram_matrix_once_the_passes_run_repay_it(self, ladder):
+        # Break-even is 500 / (2 * 24) = 10.4 two-product passes: G is formed
+        # before pass 12, and passes 12..60 are steps on it.
+        problem = synthetic_problem(500, 20, 0.99, 0.2, RngSeed(77))
+        walk = subspace_module.power_iterates(problem.A, 20, RngSeed(78))
+        formed = [len(ladder.rungs) for _, _ in zip(range(61), walk)]
+        assert formed.index(1) == 12 and formed[-1] == 1
+        assert ladder.sources[0] is problem.A and ladder.steps == 49
+        # A tall matrix forms none.
+        tall = gaussian_matrix(120, 100, RngSeed(79))
+        list(islice(subspace_module.power_iterates(tall, 20, RngSeed(80)), 61))
+        assert len(ladder.rungs) == 1
 
 
 class TestPowerBasisFromSketch:

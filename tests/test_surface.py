@@ -5,7 +5,9 @@ modules (the package root's re-exports do not count), or be documented in
 README.md as part of the public interface, and it must be defined in that
 module: only the package root re-exports.  A name a module imports at module
 level must be read in that module or listed in its ``__all__``, and no module
-imports inside a function, which would hide an import cycle.
+imports inside a function, which would hide an import cycle.  A private
+function, class or constant at module level must be read by some module of
+the package: one that nothing reads is a leftover.
 """
 
 import ast
@@ -71,6 +73,18 @@ def test_every_export_is_defined_where_it_is_exported():
         defined = defined_names(tree)
         foreign += [f"{path.name}:{name}" for name in declared_all(tree) if name not in defined]
     assert sorted(foreign) == []
+
+
+def test_every_private_module_level_name_is_read():
+    read, private = set(), []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        private += [(path.name, name) for name in defined_names(tree)
+                    if name.startswith("_") and not name.startswith("__")]
+    assert sorted(f"{module}:{name}" for module, name in private if name not in read) == []
 
 
 def unused_imports(path):
