@@ -118,13 +118,18 @@ def thin_svd(M: np.ndarray) -> ThinSVD:
     Singular values at or below ``max(rows, cols) * sigma_1 * SVD_RANK_FACTOR``
     are treated as zero.  Each right singular vector is sign-canonicalized so
     that its largest-magnitude entry (lowest index on ties) is positive,
-    making the factors deterministic.  Raises :class:`ZeroMatrix` for an
-    all-zero input.
+    making the factors deterministic.  A matrix with fewer rows than columns
+    is factored through the SVD of its transpose, which LAPACK's gesdd runs
+    faster on OpenBLAS than the wide factorization.  Raises
+    :class:`ZeroMatrix` for an all-zero input.
     """
     M = as_matrix(M, "M")
     if not M.any():
         raise ZeroMatrix(f"cannot factor an all-zero {M.shape[0]}x{M.shape[1]} matrix")
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    wide = M.shape[0] < M.shape[1]
+    U, s, Vt = np.linalg.svd(M.T if wide else M, full_matrices=False)
+    if wide:
+        U, Vt = Vt.T, U.T
     cutoff = max(M.shape) * s[0] * SVD_RANK_FACTOR
     rank = int(np.count_nonzero(s > cutoff))
     if rank == 0:

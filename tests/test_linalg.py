@@ -156,6 +156,32 @@ class TestThinSvd:
         assert np.max(np.abs(F.U.T @ F.U - np.eye(F.rank))) <= 1e-10
         assert np.max(np.abs(F.V.T @ F.V - np.eye(F.rank))) <= 1e-10
 
+    @pytest.mark.parametrize("rows, cols, rank", [(8, 20, 8), (24, 500, 24), (10, 30, 4)])
+    def test_wide_matrix_meets_the_contract(self, rows, cols, rank):
+        rng = np.random.default_rng(27)
+        M = rank_k_matrix(rng, rows, cols, rank, sigma=np.logspace(0.0, -3.0, rank))
+        F = thin_svd(M)
+        assert F.rank == rank and F.U.shape == (rows, rank) and F.V.shape == (cols, rank)
+        assert np.max(np.abs(F.U.T @ F.U - np.eye(rank))) <= 1e-12
+        assert np.max(np.abs(F.V.T @ F.V - np.eye(rank))) <= 1e-12
+        assert np.all(F.sigma[:-1] >= F.sigma[1:])
+        cutoff = spectral_norm_oracle(M) * cols * SVD_RANK_FACTOR
+        assert F.sigma[-1] > cutoff
+        assert np.all(np.linalg.svd(M, compute_uv=False)[rank:] <= cutoff)
+        assert spectral_norm_oracle(M - reconstruct(F)) <= 1e-12 * F.sigma[0]
+        leads = np.argmax(np.abs(F.V), axis=0)
+        assert np.all(F.V[leads, np.arange(rank)] > 0)
+
+    @pytest.mark.parametrize("rows, cols", [(8, 20), (24, 500)])
+    def test_wide_matrix_factors_are_its_transposes_swapped(self, rows, cols):
+        # The same SVD of M^T, each side sign-canonicalized on its own V.
+        M = np.random.default_rng(28).standard_normal((rows, cols))
+        F, T = thin_svd(M), thin_svd(M.T)
+        signs = np.sign(np.sum(F.U * T.V, axis=0))
+        assert np.array_equal(F.sigma, T.sigma)
+        assert np.array_equal(F.U, T.V * signs)
+        assert np.array_equal(F.V, T.U * signs)
+
 
 class TestPseudoInverse:
     def test_diagonal_inverse(self):

@@ -50,6 +50,15 @@ class TestExactTruncatedSolve:
             reference = pseudo_inverse(leading_factors(thin_svd(A), k)) @ b
             assert np.linalg.norm(outcome.x - reference) <= 1e-10
 
+    def test_wide_matrix_matches_the_svd_solution(self):
+        rng = np.random.default_rng(61)
+        A = rng.standard_normal((200, 500))
+        b = rng.standard_normal(200)
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        reference = Vt[:20].T @ ((U[:, :20].T @ b) / s[:20])
+        x = exact_truncated_solve(A, b, 20).x
+        assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+
     def test_level_bounds(self):
         b = np.ones(4)
         full = exact_truncated_solve(DIAG, b, 4)

@@ -43,7 +43,11 @@ def ladder(monkeypatch):
     class CountingRung(np.ndarray):
         def __matmul__(self, other):
             record.steps += 1
-            return np.asarray(self) @ other
+            return np.asarray(self) @ np.asarray(other)
+
+        def __rmatmul__(self, other):
+            record.steps += 1
+            return np.asarray(other) @ np.asarray(self)
 
     def counting(M):
         record.sources.append(M)
@@ -124,6 +128,22 @@ class TestPowerProduct:
                 assert_allclose(rung / np.trace(rung), power / np.trace(power), rtol=0, atol=1e-12)
             assert ladder.steps <= math.ceil(p / 2)
             assert np.all(np.isfinite(Y))
+
+    def test_first_reading_lets_the_ladder_climb_before_the_next_qr(self, ladder, monkeypatch):
+        # The first QR reads A A^T A S, one and a half passes' worth of
+        # spread: about 0.8 a pass in log terms, so a step of 8 passes on G^8
+        # spreads the block by about e^6.4, within the 1e4 gate.
+        rungs_at_qr = []
+        real = np.linalg.qr
+
+        def counting(*args, **kwargs):
+            rungs_at_qr.append(len(ladder.rungs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        problem = synthetic_problem(100, 20, 0.99, 0.2, RngSeed(60))
+        power_product(problem.A, gaussian_matrix(100, 24, RngSeed(61)), 47)
+        assert rungs_at_qr == [0, 4, 4]
 
     @pytest.mark.parametrize(
         "case", ["tall", "below-break-even", "hard-spectrum", "wide-hard-spectrum"]
