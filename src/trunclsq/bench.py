@@ -213,8 +213,7 @@ def _solve_pair(
     for _ in range(max(1, int(timing_reps))):
         approx = approx_truncated_solve(A, b, k, p, sketch_seed)
         time_approx = min(time_approx, approx.wall_time)
-    rhs_norm = float(np.linalg.norm(b))
-    objective_error = (approx.residual_norm - exact.residual_norm) / rhs_norm
+    objective_error = (approx.residual_norm - exact.residual_norm) / exact.rhs_norm
     solution_error = float(
         np.linalg.norm(approx.x - exact.x) / np.linalg.norm(exact.x)
     )
@@ -244,31 +243,12 @@ def _run_one(
 ) -> ReportRow:
     try:
         problem = synthetic_problem(n, k, gamma_target, noise, RngSeed(row_seed))
-        objective_error, solution_error, time_exact, time_approx = _solve_pair(
-            problem, p, RngSeed(row_seed, SKETCH_STREAM_OFFSET), timing_reps
-        )
-        return ReportRow(
-            n=n,
-            k=k,
-            p=p,
-            seed=row_seed,
-            objective_error=objective_error,
-            solution_error=solution_error,
-            time_exact_s=time_exact,
-            time_approx_s=time_approx,
-        )
+        metrics = _solve_pair(problem, p, RngSeed(row_seed, SKETCH_STREAM_OFFSET), timing_reps)
+        error = None
     except Exception as exc:  # noqa: BLE001 - a failed run must not abort the sweep
-        return ReportRow(
-            n=n,
-            k=k,
-            p=p,
-            seed=row_seed,
-            objective_error=math.nan,
-            solution_error=math.nan,
-            time_exact_s=math.nan,
-            time_approx_s=math.nan,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        metrics = (math.nan,) * 4
+        error = f"{type(exc).__name__}: {exc}"
+    return ReportRow(n, k, p, row_seed, *metrics, error=error)
 
 
 def run_experiment(

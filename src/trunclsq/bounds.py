@@ -40,7 +40,7 @@ from .linalg import (
     thin_svd,
 )
 from .sketch import RngSeed
-from .subspace import approx_truncated_svd, power_basis_from_sketch
+from .subspace import _validate_depth, approx_truncated_svd, power_basis_from_sketch
 
 __all__ = [
     "GapProfile",
@@ -238,9 +238,7 @@ def subspace_capture_bound(A: np.ndarray, S: np.ndarray, k: int, p: int) -> Boun
     A = as_matrix(A, "A")
     S = as_matrix(S, "S")
     k = int(k)
-    p = int(p)
-    if p < 0:
-        raise ValueError(f"power-iteration depth must be nonnegative, got {p}")
+    p = _validate_depth(p)
     F = thin_svd(A)
     head = leading_factors(F, k)
     if S.shape != (A.shape[1], k):

@@ -16,11 +16,13 @@ or at the depth :func:`trunclsq.bounds.choose_power_depth` gives for
 ``(epsilon, delta)`` on the current Ritz values, and the printed ``p`` is the
 number of passes it ran.
 
-Matrices and vectors travel as Matrix Market files (vectors are
-single-column ``array`` files).  Exit codes: 0 success, 1 operation error,
-2 usage error.  On the subcommands that take ``--seed`` (``solve``,
-``certify``, ``bench``, ``gen``) it falls back to the ``TRUNCLSQ_SEED``
-environment variable, then to 0; the others never read that variable.
+Argparse routes each subcommand to its handler, and the handler's usage
+checks come first, before any file is read or written.  Matrices and vectors
+travel as Matrix Market files (vectors are single-column ``array`` files).
+Exit codes: 0 success, 1 operation error, 2 usage error.  On the subcommands
+that take ``--seed`` (``solve``, ``certify``, ``bench``, ``gen``) it falls
+back to the ``TRUNCLSQ_SEED`` environment variable, then to 0; the others
+never read that variable.
 """
 
 from __future__ import annotations
@@ -33,7 +35,12 @@ import sys
 import numpy as np
 
 from .bench import derive_row_seed, run_experiment, synthetic_problem
-from .bounds import error_chain, lower_bound_instance, subspace_capture_bound
+from .bounds import (
+    CERTIFICATE_TOLERANCE,
+    error_chain,
+    lower_bound_instance,
+    subspace_capture_bound,
+)
 from .errors import TruncLsqError
 from .linalg import solve_factored
 from .mmio import load_matrix, load_vector, save_matrix, save_vector
@@ -50,8 +57,6 @@ from .subspace import approx_truncated_svd
 __all__ = ["UsageError", "main"]
 
 ENV_SEED = "TRUNCLSQ_SEED"
-# Residual slack accepted by the adversarial-separation certificate.
-CERTIFY_RESIDUAL_TOLERANCE = 1e-8
 
 
 class UsageError(ValueError):
@@ -90,6 +95,14 @@ def _emit_outcome(outcome: SolveOutcome, args: argparse.Namespace) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    _require(args.k >= 1, "solve requires --k >= 1")
+    _require(
+        args.p is not None or (args.epsilon is not None and args.delta is not None),
+        "solve requires --p, or both --epsilon and --delta to pick it",
+    )
+    _require(args.p is None or args.p >= 0, "--p must be nonnegative")
+    _require(args.epsilon is None or 0.0 < args.epsilon <= 1.0, "--epsilon must lie in (0, 1]")
+    _require(args.delta is None or 0.0 < args.delta <= 1.0, "--delta must lie in (0, 1]")
     A = load_matrix(args.matrix)
     b = load_vector(args.rhs)
     if args.p is None:
@@ -103,6 +116,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
+    _require(args.k >= 1, "exact requires --k >= 1")
     A = load_matrix(args.matrix)
     b = load_vector(args.rhs)
     outcome = exact_truncated_solve(A, b, args.k)
@@ -111,6 +125,11 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _cmd_tikhonov(args: argparse.Namespace) -> int:
+    _require(
+        args.lambdas is not None,
+        "tikhonov requires --lambda (a scalar or comma-separated list)",
+    )
+    _require(all(v >= 0.0 for v in args.lambdas), "--lambda values must be nonnegative")
     A = load_matrix(args.matrix)
     b = load_vector(args.rhs)
     outcome = tikhonov_solve(A, b, args.lambdas)
@@ -162,7 +181,7 @@ def _separation_trial(trial: int, m: int, n: int, k: int, p: int, seed: int) -> 
     exact_residual = exact_truncated_solve(A, b, k).residual_norm
     x_approx = solve_factored(approx, b)
     approx_residual = float(np.linalg.norm(A @ x_approx - b))
-    slack = CERTIFY_RESIDUAL_TOLERANCE * rhs_norm
+    slack = CERTIFICATE_TOLERANCE * rhs_norm
     if (
         exact_residual <= slack
         and approx_residual >= instance.epsilon_star * rhs_norm - slack
@@ -187,6 +206,7 @@ _CERTIFY_SUITES = (
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    _require(args.trials >= 1, "--trials must be positive")
     failures: list[str] = []
     for suite, (name, run_trial) in enumerate(_CERTIFY_SUITES, start=1):
         passed = 0
@@ -207,11 +227,26 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_sweep(args: argparse.Namespace, command: str, *checks: tuple[bool, str]) -> None:
+    """Usage checks of ``bench`` and ``gen``, in order: ``--k``, the command's
+    own ``(condition, message)`` checks, then ``--gamma`` and ``--noise``."""
+    _require(args.k >= 1, f"{command} requires --k >= 1")
+    for condition, message in checks:
+        _require(condition, message)
+    _require(0.0 < args.gamma < 1.0, "--gamma must lie in (0, 1)")
+    _require(args.noise >= 0.0, "--noise must be nonnegative")
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
+    _require_sweep(
+        args,
+        "bench",
+        (all(n > args.k for n in args.n_values), f"every n must exceed k={args.k}"),
+        (args.seeds_per_n >= 1, "--seeds-per-n must be positive"),
+    )
     report = run_experiment(
         list(args.n_values),
         args.k,
-        p_rule=None,
         gamma_target=args.gamma,
         seeds_per_n=args.seeds_per_n,
         base_seed=args.seed,
@@ -229,6 +264,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    _require_sweep(
+        args,
+        "gen",
+        (args.n >= 2, "gen requires --n >= 2"),
+        (args.n > args.k, "gen requires n > k"),
+    )
     problem = synthetic_problem(args.n, args.k, args.gamma, args.noise, args.seed)
     matrix_path = f"{args.output}_A.mtx"
     rhs_path = f"{args.output}_b.mtx"
@@ -241,58 +282,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     print(f"gamma_k = {_fmt(problem.gap_profile.gamma_k)}")
     print(f"seed = {_fmt_seed(args.seed)}")
     return 0
-
-
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "exact": _cmd_exact,
-    "tikhonov": _cmd_tikhonov,
-    "certify": _cmd_certify,
-    "bench": _cmd_bench,
-    "gen": _cmd_gen,
-}
-
-
-def _validate(args: argparse.Namespace) -> None:
-    """Usage checks argparse cannot express; a failure raises :class:`UsageError`."""
-    command = args.command
-    if command in ("solve", "exact", "bench", "gen"):
-        _require(args.k >= 1, f"{command} requires --k >= 1")
-    if command == "solve":
-        _require(
-            args.p is not None
-            or (args.epsilon is not None and args.delta is not None),
-            "solve requires --p, or both --epsilon and --delta to pick it",
-        )
-        if args.p is not None:
-            _require(args.p >= 0, "--p must be nonnegative")
-        if args.epsilon is not None:
-            _require(0.0 < args.epsilon <= 1.0, "--epsilon must lie in (0, 1]")
-        if args.delta is not None:
-            _require(0.0 < args.delta <= 1.0, "--delta must lie in (0, 1]")
-    if command == "tikhonov":
-        _require(
-            args.lambdas is not None,
-            "tikhonov requires --lambda (a scalar or comma-separated list)",
-        )
-        _require(
-            all(v >= 0.0 for v in args.lambdas),
-            "--lambda values must be nonnegative",
-        )
-    if command == "certify":
-        _require(args.trials >= 1, "--trials must be positive")
-    if command == "bench":
-        _require(
-            all(n > args.k for n in args.n_values),
-            f"every n must exceed k={args.k}",
-        )
-        _require(args.seeds_per_n >= 1, "--seeds-per-n must be positive")
-    if command == "gen":
-        _require(args.n >= 2, "gen requires --n >= 2")
-        _require(args.n > args.k, "gen requires n > k")
-    if command in ("bench", "gen"):
-        _require(0.0 < args.gamma < 1.0, "--gamma must lie in (0, 1)")
-        _require(args.noise >= 0.0, "--noise must be nonnegative")
 
 
 def _parse_seed(text: str | None) -> RngSeed:
@@ -340,6 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", help="write the solution vector to this file")
 
     sp = sub.add_parser("solve", help="randomized truncated solve")
+    sp.set_defaults(run=_cmd_solve)
     add_solver_args(sp)
     sp.add_argument("--p", type=int, help="power-iteration depth")
     sp.add_argument(
@@ -351,9 +341,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", help="sketch seed (fallback: env TRUNCLSQ_SEED, then 0)")
 
     sp = sub.add_parser("exact", help="exact truncated solve")
+    sp.set_defaults(run=_cmd_exact)
     add_solver_args(sp)
 
     sp = sub.add_parser("tikhonov", help="regularized solve with damping factors")
+    sp.set_defaults(run=_cmd_tikhonov)
     add_solver_args(sp, with_rank=False)
     sp.add_argument(
         "--lambda",
@@ -362,10 +354,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sp = sub.add_parser("certify", help="run the deterministic bound certificates")
+    sp.set_defaults(run=_cmd_certify)
     sp.add_argument("--trials", type=int, default=100, help="instances per certificate suite")
     sp.add_argument("--seed", help="base seed for instance generation")
 
     sp = sub.add_parser("bench", help="accuracy/timing sweep to CSV")
+    sp.set_defaults(run=_cmd_bench)
     sp.add_argument("--n-values", default="100,200,300,400,500", help="comma-separated sizes")
     sp.add_argument("--k", type=int, required=True, help="truncation level")
     sp.add_argument("--gamma", type=float, default=0.99, help="spectral gap of each instance")
@@ -375,6 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", help="CSV path (default: standard output)")
 
     sp = sub.add_parser("gen", help="write a synthetic problem to files")
+    sp.set_defaults(run=_cmd_gen)
     sp.add_argument("--n", type=int, required=True, help="problem size")
     sp.add_argument("--k", type=int, required=True, help="truncation level")
     sp.add_argument("--gamma", type=float, default=0.99, help="spectral gap")
@@ -398,11 +393,10 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    """Console entry point: parse, run, map failures to exit codes."""
+    """Console entry point: parse, run the handler, map failures to exit codes."""
     try:
         args = parse_args(argv)
-        _validate(args)
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 """Command-line interface: output format, exit codes, reproducibility."""
 
+import argparse
 import subprocess
 import sys
 
@@ -426,6 +427,22 @@ class TestErrorPaths:
             ),
             (["gen", "--n", "1", "--k", "1", "--output", "out"], "gen requires --n >= 2"),
             (["gen", "--n", "3", "--k", "3", "--output", "out"], "gen requires n > k"),
+            (["certify", "--trials", "0"], "--trials must be positive"),
+            (["bench", "--k", "3", "--n-values", "2,5"], "every n must exceed k=3"),
+            (["tikhonov", "A", "b", "--lambda", "-1"], "--lambda values must be nonnegative"),
+            (["solve", "A", "b", "--k", "0", "--p", "1"], "solve requires --k >= 1"),
+            (["bench", "--k", "0"], "bench requires --k >= 1"),
+            (["gen", "--n", "5", "--k", "0", "--output", "out"], "gen requires --k >= 1"),
+            # Two checks fail on each argv below; the one named wins.
+            (
+                ["bench", "--k", "3", "--n-values", "2,5", "--gamma", "2"],
+                "every n must exceed k=3",
+            ),
+            (
+                ["gen", "--n", "1", "--k", "1", "--noise", "-1", "--output", "out"],
+                "gen requires --n >= 2",
+            ),
+            (["solve", "A", "b", "--k", "0", "--p", "-1"], "solve requires --k >= 1"),
         ],
     )
     def test_usage_check_exits_two_with_message(self, capsys, argv, fragment):
@@ -435,6 +452,19 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert fragment in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_every_subcommand_routes_to_its_handler(self):
+        # A subparser without a ``run`` default would end in an AttributeError
+        # in main, not in exit code 1 or 2.
+        parser = cli_module._build_parser()
+        (commands,) = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(commands.choices) == {"solve", "exact", "tikhonov", "certify", "bench", "gen"}
+        for name, subparser in commands.choices.items():
+            assert subparser.get_default("run") is getattr(cli_module, f"_cmd_{name}"), name
 
 
 class TestEntryPoints:
