@@ -154,8 +154,9 @@ def test_stops_on_the_fixed_depth_solution(trial):
     assert relative_error(approx.x, fixed.x) <= 1e-12
 
 
-def test_stops_on_the_fixed_depth_solution_bitwise_on_a_tall_matrix():
-    # A tall A climbs no rung, so both walks take the same passes and QRs.
+def test_stops_on_the_fixed_depth_solution_on_a_tall_matrix():
+    # A tall A climbs no rung, so both walks take the same passes; the
+    # fixed-depth walk plans its QRs to two thirds of the spread limit.
     rng = np.random.default_rng(72)
     sigma = np.concatenate([np.linspace(2.0, 1.0, 4), 0.9 * np.linspace(1.0, 0.1, 36)])
     A = (random_orthonormal(rng, 90, 40) * sigma) @ random_orthonormal(rng, 40, 40).T
@@ -163,7 +164,7 @@ def test_stops_on_the_fixed_depth_solution_bitwise_on_a_tall_matrix():
     approx = adaptive_truncated_solve(A, b, 4, 0.01, 0.1, RngSeed(73))
     fixed = approx_truncated_solve(A, b, 4, approx.p, RngSeed(73))
     assert approx.p >= 10
-    assert approx.x.tobytes() == fixed.x.tobytes()
+    assert relative_error(approx.x, fixed.x) <= 1e-12
 
 
 def test_stops_on_the_fixed_depth_solution_below_the_sketch_width():

@@ -1,7 +1,10 @@
 """Randomized range finder and the sketched truncated factorization."""
 
+import importlib.util
 import math
+import sys
 from itertools import islice
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +20,7 @@ from helpers import (
 from trunclsq import (
     InvalidTruncation,
     RngSeed,
+    adaptive_truncated_solve,
     approx_truncated_solve,
     approx_truncated_svd,
     gaussian_matrix,
@@ -26,6 +30,7 @@ from trunclsq import (
     synthetic_problem,
 )
 from trunclsq import subspace as subspace_module
+from trunclsq.linalg import solve_factored
 
 
 def exact_top_k(A: np.ndarray, k: int):
@@ -132,7 +137,9 @@ class TestPowerProduct:
     def test_first_reading_lets_the_ladder_climb_before_the_next_qr(self, ladder, monkeypatch):
         # The first QR reads A A^T A S, one and a half passes' worth of
         # spread: about 0.8 a pass in log terms, so a step of 8 passes on G^8
-        # spreads the block by about e^6.4, within the 1e4 gate.
+        # spreads the block by about e^6.4, within the 1e4 gate.  Two such
+        # steps would spread it past two thirds of the 1e6 limit, so a QR
+        # follows every step after the second QR.
         rungs_at_qr = []
         real = np.linalg.qr
 
@@ -143,7 +150,7 @@ class TestPowerProduct:
         monkeypatch.setattr(np.linalg, "qr", counting)
         problem = synthetic_problem(100, 20, 0.99, 0.2, RngSeed(60))
         power_product(problem.A, gaussian_matrix(100, 24, RngSeed(61)), 47)
-        assert rungs_at_qr == [0, 4, 4]
+        assert rungs_at_qr[:2] == [0, 4] and set(rungs_at_qr[1:]) == {4}
 
     @pytest.mark.parametrize(
         "case", ["tall", "below-break-even", "hard-spectrum", "wide-hard-spectrum"]
@@ -174,18 +181,32 @@ class TestPowerProduct:
 
     @pytest.mark.parametrize("n", [100, 200, 300, 400, 500])
     def test_ladder_matches_a_qr_every_pass_reference(self, n):
+        # The float64 range finder matches the reference to 1e-9; the solve,
+        # whose walk may run its ladder in float32 from n = 200 on, moves
+        # x by at most 1e-6 relative from it.
         problem = synthetic_problem(n, 20, 0.99, 0.2, RngSeed(67, n))
-        p, seed = math.ceil(10 * math.log(n)), RngSeed(68, n)
-        x = approx_truncated_solve(problem.A, problem.b, 20, p, seed).x
-        reference = reference_solve(problem.A, problem.b, 20, p, seed)
+        A, b, p, seed = problem.A, problem.b, math.ceil(10 * math.log(n)), RngSeed(68, n)
+        fact = subspace_module.ritz_factorization(A, power_basis(A, 20, p, seed), 20)[1]
+        x = solve_factored(fact, b)
+        reference = reference_solve(A, b, 20, p, seed)
         assert np.linalg.norm(x - reference) <= 1e-9 * np.linalg.norm(reference)
+        solved = approx_truncated_solve(A, b, 20, p, seed).x
+        assert np.linalg.norm(solved - x) <= 1e-6 * np.linalg.norm(x)
 
-    @pytest.mark.parametrize("exponent", [300, -300])
-    def test_ladder_keeps_a_scaled_matrix_in_range(self, exponent):
+    @pytest.mark.parametrize("n, rounding, exponent", [
+        pytest.param(200, np.float32, 300, id="300"),
+        pytest.param(200, np.float32, -300, id="-300"),
+        pytest.param(100, np.float64, 300, id="float64-300"),
+        pytest.param(100, np.float64, -300, id="float64--300"),
+    ])
+    def test_ladder_keeps_a_scaled_matrix_in_range(self, n, rounding, exponent):
         # sigma_1^(2^j) leaves float64's range from G^4 on at either scale
-        # unless each rung is rescaled.
-        problem = synthetic_problem(200, 20, 0.99, 0.2, RngSeed(69))
-        p, seed, scale = math.ceil(10 * math.log(200)), RngSeed(70), 2.0**exponent
+        # unless each rung is rescaled, and A itself lies outside float32's
+        # range unless its float32 copy is rescaled.
+        problem = synthetic_problem(n, 20, 0.99, 0.2, RngSeed(69))
+        p, seed, scale = math.ceil(10 * math.log(n)), RngSeed(70), 2.0**exponent
+        basis = power_basis(scale * problem.A, 20, p, seed, dtype=np.float32)
+        assert basis.dtype == rounding
         x = approx_truncated_solve(problem.A, problem.b, 20, p, seed).x
         scaled = approx_truncated_solve(scale * problem.A, problem.b, 20, p, seed).x
         assert np.all(np.isfinite(scaled))
@@ -198,6 +219,125 @@ class TestPowerProduct:
     def test_rejects_sketch_row_mismatch(self):
         with pytest.raises(ValueError, match="rows"):
             power_product(np.eye(3), np.ones((4, 2)), 0)
+
+
+def perfbench_inputs():
+    """The benchmark's input generators (numpy only), loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestQRSchedule:
+    """No QR after a walk's first reads a spread past the limit of the
+    precision its block is in: 1e6 in float64, 1e4 in float32.  An interval
+    of one pass is exempt, since no schedule can split it."""
+
+    @pytest.fixture
+    def overshoots(self, monkeypatch):
+        """Runs one walk and returns how far past its limit each QR after
+        the first read, in log terms, where that interval ran more than one
+        pass."""
+        readings = []
+        real = subspace_module._orthonormalize
+
+        def reading(Y, passes):
+            logs = np.log(np.abs(np.diag(np.linalg.qr(Y.astype(np.float64), mode="r"))))
+            float32 = Y.dtype == np.float32
+            limits = subspace_module._FLOAT32 if float32 else subspace_module._FLOAT64
+            readings.append((passes, logs.max() - logs.min() - limits.spread))
+            return real(Y, passes)
+
+        monkeypatch.setattr(subspace_module, "_orthonormalize", reading)
+
+        def run(walk, *args, **kwargs):
+            readings.clear()
+            walk(*args, **kwargs)
+            return [excess for passes, excess in readings[1:] if passes > 1 and excess > 0]
+
+        return run
+
+    def test_paper_grid_walks_stay_within_the_limit(self, overshoots):
+        # The 100 walks of the benchmark's generator at seeds 1..5: two
+        # problems per n and two sketches each, at the paper's depth, both
+        # in float64 and as the solver asks for them.
+        inputs = perfbench_inputs()
+        for seed in range(1, 6):
+            for n in inputs.PAPER_GRID:
+                p = inputs.paper_depth(n)
+                for j in range(2):
+                    rng = inputs.rng_for(seed, inputs.TAG_PAPER_SWEEP, n, j)
+                    A = inputs.paper_problem(n, 20, 0.99, 0.2, rng).A
+                    for sketch_seed in rng.integers(inputs.SEED_LIMIT, size=2):
+                        args = (A, 20, p, RngSeed(int(sketch_seed)))
+                        for rounding in (np.float64, np.float32):
+                            excess = overshoots(power_basis, *args, dtype=rounding)
+                            assert excess == [], (seed, n, j)
+
+    def test_hard_spectrum_walks_stay_within_the_limit(self, overshoots):
+        A, _, k = hard_spectrum_problem()
+        for M in (A, A.T):
+            for stream in range(3):
+                for p in (2, 4, 8, 16):
+                    args = (M, k, p, RngSeed(9, stream))
+                    assert overshoots(power_basis, *args, dtype=np.float32) == []
+
+    def test_certificate_walks_stay_within_the_limit(self, overshoots):
+        inputs = perfbench_inputs()
+        for i in range(200):
+            instance = inputs.certificate_instance(
+                inputs.rng_for(1, inputs.TAG_CERTIFICATES, i), clustered=i % 2 == 1)
+            A, k, p = instance.problem.A, instance.problem.k, instance.p
+            assert overshoots(power_basis_from_sketch, A, instance.S, p) == []
+            assert overshoots(power_basis, A, k, p, RngSeed(instance.solve_seed),
+                              dtype=np.float32) == []
+
+
+class TestFloat32Ladder:
+    def test_default_calls_never_round_at_float32(self, monkeypatch):
+        # On a problem whose fixed-depth walk runs its ladder in float32 when
+        # asked to, every call with default arguments stays in float64.
+        problem = synthetic_problem(300, 20, 0.99, 0.2, RngSeed(81))
+        A, b, p, seed = problem.A, problem.b, math.ceil(10 * math.log(300)), RngSeed(82)
+        S = gaussian_matrix(300, 24, seed)
+        assert power_product(A, S, p, dtype=np.float32).dtype == np.float32
+        product = power_product(A, S, p, dtype=np.float64)
+        basis = power_basis_from_sketch(A, S, p, dtype=np.float64)
+
+        def refuse(matrix):
+            raise AssertionError("a default call made a float32 copy of A")
+
+        monkeypatch.setattr(subspace_module, "_float32_copy", refuse)
+        assert power_product(A, S, p).tobytes() == product.tobytes()
+        assert power_basis_from_sketch(A, S, p).tobytes() == basis.tobytes()
+        iterates = list(islice(subspace_module.power_iterates(A, 20, seed), p + 1))
+        assert all(Y.dtype == np.float64 for Y in iterates)
+        assert adaptive_truncated_solve(A, b, 20, 0.05, 0.1, seed).x.dtype == np.float64
+
+    def test_underflowed_first_reading_keeps_float64(self):
+        # Scaled by 2^-500, A S and the first pass underflow to zero and read
+        # no spread, which would let a float32 ladder run without a QR.
+        problem = synthetic_problem(200, 20, 0.99, 0.2, RngSeed(69))
+        A, b = 2.0**-500 * problem.A, problem.b
+        p, seed = math.ceil(10 * math.log(200)), RngSeed(70)
+        assert power_basis(A, 20, p, seed, dtype=np.float32).dtype == np.float64
+        fact = subspace_module.ritz_factorization(A, power_basis(A, 20, p, seed), 20)[1]
+        x = approx_truncated_solve(A, b, 20, p, seed).x
+        assert x.tobytes() == solve_factored(fact, b).tobytes()
+
+    @pytest.mark.parametrize("gamma", [0.8, 0.9])
+    def test_well_separated_spectrum_falls_back_to_float64(self, gamma):
+        # At gap 0.9 or less and this depth the float64 solution is exact to
+        # 1e-7 or better, below float32's rounding: the k-th Ritz residual
+        # reads under the floor and the solve returns the float64 walk's x.
+        problem = synthetic_problem(300, 20, gamma, 0.2, RngSeed(5))
+        A, b, p, seed = problem.A, problem.b, math.ceil(10 * math.log(300)), RngSeed(6)
+        assert power_basis(A, 20, p, seed, dtype=np.float32).dtype == np.float32
+        fact = subspace_module.ritz_factorization(A, power_basis(A, 20, p, seed), 20)[1]
+        x = approx_truncated_solve(A, b, 20, p, seed).x
+        assert x.tobytes() == solve_factored(fact, b).tobytes()
 
 
 class TestPowerIterates:
@@ -213,11 +353,14 @@ class TestPowerIterates:
         assert len(ladder.rungs) >= 4
         assert projection_distance_oracle(np.linalg.qr(Y)[0], np.linalg.qr(Z)[0]) <= 1e-10
 
-    def test_is_the_fixed_depth_iterate_on_a_tall_matrix(self):
+    def test_spans_the_fixed_depth_iterate_on_a_tall_matrix(self):
+        # Both walks take the same two-product passes; the one toward p
+        # plans its QRs to two thirds of the spread limit.
         A = gaussian_matrix(90, 40, RngSeed(75))
         p, seed = math.ceil(10 * math.log(40)), RngSeed(76)
         Y = next(islice(subspace_module.power_iterates(A, 5, seed), p, None))
-        assert np.array_equal(Y, power_product(A, gaussian_matrix(40, 9, seed), p))
+        Z = power_product(A, gaussian_matrix(40, 9, seed), p)
+        assert projection_distance_oracle(np.linalg.qr(Y)[0], np.linalg.qr(Z)[0]) <= 1e-10
 
     def test_forms_the_gram_matrix_once_the_passes_run_repay_it(self, ladder):
         # Break-even is 500 / (2 * 24) = 10.4 two-product passes: G is formed
