@@ -188,10 +188,10 @@ def adaptive_truncated_solve(
 
     ``p`` of the outcome is the number of passes run, and x is the x of
     ``approx_truncated_solve(A, b, k, p, seed)`` to rounding, since the
-    fixed-depth walk plans its QRs with a margin and, on a square or wide A,
-    steps on powers of ``A A^T``; where it runs those steps in float32, the
-    two agree only to float32's rounding, 2e-7 to 5e-7 relative on the
-    paper's problems.  A tied spectrum raises
+    fixed-depth walk, on a square or wide A, steps on powers of ``A A^T``
+    and takes its QRs where those steps call for them; where it runs those
+    steps in float32, the two agree only to float32's rounding, 2e-7 to
+    8e-7 relative on the paper's problems.  A tied spectrum raises
     :class:`NoSpectralGap` like the depth rule does, a cross product of rank
     below k raises :class:`InvalidTruncation`, and a recovered k-th singular
     value below ``SIGMA_RATIO_FLOOR`` times the first raises

@@ -2,21 +2,33 @@
 
 The iteration draws an n-by-l Gaussian sketch S, oversampled to
 ``l = min(k + 4, m, n)`` columns, and runs passes ``Y <- A (A^T Y)`` from
-``Y = A S``, replacing Y by the Q of its QR after the first pass and then
-only when the spread and drift the last QR read call for it (Halko,
-Martinsson & Tropp 2011, arXiv:0909.4061, Alg. 4.4).  One walk serves every
-depth.  On a square or wide A whose block is not too spread for G's
-rounding, passes run as ``Y <- G Y`` on ``G = A A^T`` once G pays for
-itself: once the passes left to a known depth repay it, or, when the depth
-is unknown, once the two-product passes already run would have.  Toward a
-known depth the walk also climbs to the rungs ``G^2, G^4, ...``, each
-squared from the one before, while the steps a rung saves repay its m^3
-flops and one step on it stays within G's rounding gate; a step on
-``G^(2^j)`` runs ``2^j`` passes.  :func:`power_product` takes the walk's
-last iterate at a given depth; :func:`power_iterates` hands it, one pass a
-step, to callers that decide the depth while iterating.  A spread reading
-runs low while the block is still turning, so a walk toward a known depth
-plans each interval between QRs to two thirds of the spread limit.
+``Y = A S``, replacing Y by an orthonormal basis of its span after the
+first pass and then only when the spread and drift the last QR read call
+for it (Halko, Martinsson & Tropp 2011, arXiv:0909.4061, Alg. 4.4).  One
+walk serves every depth.  On a square or wide A whose block is not too
+spread for G's rounding, passes run as ``Y <- G Y`` on ``G = A A^T`` once
+G pays for itself: once the passes left to a known depth repay it, or,
+when the depth is unknown, once the two-product passes already run would
+have.  Toward a known depth the walk also climbs to the rungs
+``G^2, G^4, ...``, each squared from the one before, while the steps a
+rung saves repay its m^3 flops and one step on it stays within G's
+rounding gate; a step on ``G^(2^j)`` runs ``2^j`` passes.
+:func:`power_product` takes the walk's last iterate at a given depth;
+:func:`power_iterates` hands it, one pass a step, to callers that decide
+the depth while iterating.  A spread reading runs low while the block is
+still turning, so every walk plans each interval between QRs to two thirds
+of the spread limit.  The spread is read per pass and the drift per step:
+a step on a rung, which is scaled to a trace below one, shrinks the block
+by about the same factor whatever its ``2^j``.
+
+The loop needs only the block's span, so every QR after the walk's first
+is a Cholesky QR of the block's l-by-l Gram, which took 78-120 us on a
+float32 block where numpy's Householder QR took 98-262 us (l = 24,
+m = 100..500, one thread); it keeps the span while the block's condition number kappa has
+``kappa^2 u < 1`` (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto 2014), and
+the schedule keeps kappa within the spread limit of 1e6.  The first QR
+stays Householder, since no reading bounds its block, and so does any QR
+the schedule could not keep within that limit or whose Cholesky fails.
 
 Toward a known depth a walk may also run its ladder in float32, whose
 syrk and gemm OpenBLAS runs in 41-67 % of the float64 time: G is formed
@@ -140,12 +152,20 @@ _FLOAT32 = _Limits(spread=1e4, drift=1e15, gram=1e2)
 # pass, and a float32 reading of 0.26 by one spreading 0.38.  Planned to
 # the limits themselves, 7 of the 226 QRs after the first on the 100
 # paper-grid walks of the benchmark's generator (seeds 1 to 5) read past
-# 1e6, the worst by a factor of 99.  A walk toward a known depth therefore
-# plans each interval to two thirds of the spread limit, which no QR after
-# the first has read past on those walks, on the hard-spectrum walks or on
-# 400 certificate-sized ones.  The walk without a depth, the adaptive
-# solve's, plans to the limit itself, so its steps and x are unchanged.
+# 1e6, the worst by a factor of 99.  Every walk therefore plans each
+# interval to two thirds of the spread limit, which no QR after the first
+# has read past on those walks, on the hard-spectrum walks, on 400
+# certificate-sized ones or on 18 adaptive solves of paper problems.
 _PLANNING_MARGIN = 1.5
+
+# The first float32 interval is planned on the float64 reading taken after
+# one and a half passes.  With the drift planned per step, and planned at
+# _PLANNING_MARGIN, it ran 9 to 25 passes at n = 300, and one of the 48
+# paper-grid solves of the benchmark's seed 1 (n = 200..500) moved x by
+# 3.3e-6 relative from the float64 walk's.  At twice the margin it ran 1 to
+# 9 passes and every move stayed below 8e-7, against 5e-7 with every QR
+# Householder and the drift planned per pass.
+_FIRST_FLOAT32_MARGIN = 2 * _PLANNING_MARGIN
 
 # A reading is taken from the block the last interval left, and a block
 # whose |R_ii| reached the edge of float64's range carries no spread: where
@@ -154,11 +174,13 @@ _PLANNING_MARGIN = 1.5
 # reading, whose first interval would otherwise run without a QR.
 _FLOAT64_EDGE = -math.log(np.finfo(np.float64).tiny)
 
-# One QR of the m-by-l block costs about as much as 5e5 + 18 m l^2 flops of
-# the ladder's products: with numpy 2.4 on one OpenBLAS thread and l = 24 it
-# took 38 us at m = 100 and 139 us at m = 500, where A A^T took 34 us and
-# 2.2 ms.
-_QR_FLOPS = (5e5, 18)
+# One Cholesky QR of a float32 m-by-l block, its Gram formed in float64,
+# costs about as much as 6e5 + 12 m l^2 flops of the ladder's products: with
+# numpy 2.4 on one OpenBLAS thread and l = 24 it took 40 us at m = 100,
+# 53 us at m = 300 and 61 to 100 us at m = 500, where A A^T took 31 us,
+# 0.56 ms and 2.3 to 2.5 ms.  Householder QR, which it replaced after the
+# walk's first QR, took 44, 88 and 140 us.
+_QR_FLOPS = (6e5, 12)
 
 # approx_truncated_svd keeps a basis whose walk ran its ladder in float32
 # only where the k-th Ritz pair's relative residual
@@ -205,13 +227,45 @@ def _float32_copy(A: np.ndarray) -> np.ndarray:
     return np.ldexp(A, -exponent, out=np.empty(A.shape, np.float32), casting="same_kind")
 
 
-def _orthonormalize(Y: np.ndarray, passes: float) -> tuple[np.ndarray, float, float]:
-    """The Q of Y's QR, with what ``|diag R|`` reads after ``passes`` passes
-    since the last QR: the log spread ``ln(max/min |R_ii|)`` and the drift
-    ``max |ln |R_ii||``, each per pass."""
-    Y, R = np.linalg.qr(Y)
-    logs = np.log(np.maximum(np.abs(np.diag(R)), np.finfo(np.float64).tiny))
-    return Y, (logs.max() - logs.min()) / passes, np.abs(logs).max() / passes
+def _reading(logs: np.ndarray) -> tuple[float, float]:
+    """The spread ``max - min`` and drift ``max |.|`` of the logs of a
+    block's ``|R_ii|``."""
+    low, high = logs.min(), logs.max()
+    return high - low, max(high, -low)
+
+
+def _orthonormalize(Yt: np.ndarray, passes: float, steps: float,
+                    cholesky: bool) -> tuple[np.ndarray, float, float]:
+    """A row block with orthonormal rows spanning the rows of ``Y^T``, and
+    what ``|diag R|`` of Y's QR reads after ``passes`` passes in ``steps``
+    steps since the last QR: the log spread ``ln(max/min |R_ii|)`` per pass
+    and the drift ``max |ln |R_ii||`` per step.
+
+    With ``cholesky`` it takes a Cholesky QR: ``L = cholesky(Y^T Y)`` of the
+    l-by-l Gram, formed in float64 whatever the block's precision, and the
+    block ``inv(L) Y^T`` cast back to it; ``diag L`` is ``|diag R|`` in exact
+    arithmetic.  It keeps the span of the block while ``kappa^2 u < 1``
+    (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto 2014), which the float64
+    spread limit holds at ``kappa^2 u`` about 1e-4; the walk needs no more,
+    since the next step only has to start from the block's span.  The Gram
+    needs no prescale: a block within the float64 drift limit of 1e100 has
+    a Gram within 1e+-200.  A Cholesky that fails, or whose ``diag L`` reads
+    past either float64 limit, falls back to numpy's Householder QR, which
+    every other call takes."""
+    if cholesky:
+        B = Yt.astype(np.float64, copy=False)
+        try:
+            L = np.linalg.cholesky(B @ B.T)
+        except np.linalg.LinAlgError:
+            L = None
+        if L is not None:
+            spread, drift = _reading(np.log(L.diagonal()))
+            if spread <= _FLOAT64.spread and drift <= _FLOAT64.drift:  # False on NaN
+                Qt = (np.linalg.inv(L) @ B).astype(Yt.dtype, copy=False)
+                return Qt, spread / passes, drift / steps
+    Q, R = np.linalg.qr(Yt.T)
+    spread, drift = _reading(np.log(np.maximum(np.abs(R.diagonal()), np.finfo(np.float64).tiny)))
+    return Q.T, spread / passes, drift / steps
 
 
 def _climbs(A: np.ndarray, width: int, level: int, spread: float, run: int,
@@ -259,8 +313,8 @@ def _float32_pays(A: np.ndarray, width: int, spread: float, run: int, depth: int
     walk again in float64 (gap 0.5 at n = 300 did, at twice the time).  And
     half the ladder's flops, G's ``m^2 n``, ``m^3`` a squaring and
     ``2 m^2 l`` a step, must outweigh the QRs that float32's tighter spread
-    limit takes over the passes left, and one more for the first interval,
-    at ``_QR_FLOPS`` each."""
+    limit takes over the passes left, and two more for the first interval,
+    which is planned at twice the margin, at ``_QR_FLOPS`` each."""
     m, n = A.shape
     left = depth - run
     top = _top_rung(m, width, spread, left, _FLOAT32)
@@ -268,7 +322,7 @@ def _float32_pays(A: np.ndarray, width: int, spread: float, run: int, depth: int
             m, width, spread, left, _FLOAT64):
         return False
     ladder = m * m * n + top * m**3 + 2 * m * m * width * (left >> top)
-    qrs = 1 + _PLANNING_MARGIN * spread * left * (1 / _FLOAT32.spread - 1 / _FLOAT64.spread)
+    qrs = 2 + _PLANNING_MARGIN * spread * left * (1 / _FLOAT32.spread - 1 / _FLOAT64.spread)
     return ladder >= 2 * qrs * (_QR_FLOPS[0] + _QR_FLOPS[1] * m * width**2)
 
 
@@ -287,51 +341,62 @@ def _walk(A: np.ndarray, S: np.ndarray, depth: int | None = None, *,
     the top takes a step only where the passes left have bit j set, and each
     rung replaces the one it was squared from, so at most two m-by-m
     matrices are alive.  Y goes through a QR after pass 1, and after that
-    before any step that, at the per-pass spread ``max/min |R_ii|`` and
-    drift ``max |ln |R_ii||`` the last QR read, could exceed the spread or
-    drift limit, counting a step as its passes and, toward a known depth,
-    the spread by ``_PLANNING_MARGIN``; the walk re-plans its climb after
-    every QR.  ``A S`` counts as half a pass, since it scales by ``sigma``
+    before any step that could exceed the spread or drift limit, at the
+    spread per pass ``ln(max/min |R_ii|)`` and the drift per step
+    ``max |ln |R_ii||`` that the last QR read, the spread counted by the
+    planning margin; the walk re-plans its climb after every QR.  ``A S``
+    counts as half a pass and half a step, since it scales by ``sigma``
     where a pass scales by ``sigma^2``: the first QR reads ``A A^T A S`` as
-    one and a half passes.
+    one and a half.  A reading speaks for one kind of step, so a walk about
+    to form G after a two-product pass takes a QR first, and until a QR
+    reads steps on a rung it plans their drift on the bound the trace
+    scaling gives: a rung's largest eigenvalue is at least ``1/(2m)``, so a
+    step on it shrinks the block's strongest column by at most a factor of
+    ``2m``, and its weakest by that and the step's spread.
+
+    The walk's first QR is Householder; every later one, where its interval
+    was planned within the float64 spread and drift limits, is a Cholesky QR
+    (:func:`_orthonormalize`), which falls back to Householder where it
+    fails.
 
     With ``dtype=np.float32`` and a known depth, a walk about to form G
     forms its ladder in float32 where :func:`_float32_pays`: G from a
     float32 copy of A, then its squares and the steps on them, planned under
-    ``_FLOAT32``; its iterates from then on are float32.  The first float32
-    interval has no float32 reading of the drift, so it plans on the bound
-    the trace scaling gives: a rung's largest eigenvalue is at least
-    ``1/(2m)``, so a step on it shrinks the block's strongest column by at
-    most a factor of ``2m``, and its weakest by that and the step's
-    spread."""
-    width = S.shape[1]
+    ``_FLOAT32``; its iterates from then on are float32.  Its first float32
+    interval is planned on a float64 reading, at ``_FIRST_FLOAT32_MARGIN``."""
+    width, shrink = S.shape[1], math.log(2 * A.shape[0])
     Yt = S.T @ A.T
     yield Yt.T
-    limits, source = _FLOAT64, A
-    margin = 1.0 if depth is None else _PLANNING_MARGIN
-    run, passes, rate, spread, drift = 0, 0.5, 1.0, math.inf, 0.0
+    limits, source, margin = _FLOAT64, A, _PLANNING_MARGIN
+    run, passes, steps, spread, drift = 0, 0.5, 0.5, math.inf, 0.0
     level, rung = -1, None
     while depth is None or run < depth:
+        opens = False  # G opens an interval of its own
         while _climbs(A, width, level, spread, run, depth, limits):
+            if rung is None:
+                opens = passes >= 1
+                if opens:
+                    break
+                drift = None  # read on two-product passes, not on rung steps
             rung = _rung(source if rung is None else rung)
             level += 1
         step = 1 << max(level, 0)
-        if drift is None:  # the first float32 interval, once its climb is done
-            drift = spread + math.log(2 * A.shape[0]) / step
-            rate = max(margin * spread / limits.spread, drift / limits.drift)
-        if passes >= 1 and (passes + step) * rate > 1.0:
-            Q, spread, drift = _orthonormalize(Yt.T, passes)
-            readable = drift * passes < _FLOAT64_EDGE
-            Yt, passes = Q.T, 0
+        per_step = shrink + step * spread if drift is None else drift
+        if opens or passes >= 1 and ((passes + step) * margin * spread > limits.spread
+                                     or (steps + 1) * per_step > limits.drift):
+            cholesky = (passes * margin * spread <= _FLOAT64.spread
+                        and steps * per_step <= _FLOAT64.drift)
+            Yt, spread, drift = _orthonormalize(Yt, passes, steps, cholesky)
+            readable = drift * steps < _FLOAT64_EDGE
+            passes, steps, margin = 0, 0, _PLANNING_MARGIN
             if (rung is None and dtype == np.float32 and depth is not None and readable
                     and _float32_pays(A, width, spread, run, depth)):
-                limits, source, drift = _FLOAT32, _float32_copy(A), None
-            else:
-                rate = max(margin * spread / limits.spread, drift / limits.drift)
+                limits, source, margin = _FLOAT32, _float32_copy(A), _FIRST_FLOAT32_MARGIN
             continue
         Yt = (Yt @ A) @ A.T if rung is None else Yt.astype(rung.dtype, copy=False) @ rung
         run += step
         passes += step
+        steps += 1
         yield Yt.T
 
 
@@ -432,9 +497,8 @@ def power_iterates(A: np.ndarray, k: int, seed: RngSeed) -> Iterator[np.ndarray]
     :func:`power_basis` draws, one pass at a time: yields ``Y_p`` for
     p = 0, 1, 2, ... without end.  The caller decides when to stop by
     leaving the loop.  The walk does not know its depth, so it climbs no
-    higher than ``G = A A^T``, and it plans each QR on the spread limit
-    itself; ``Y_p`` spans what :func:`power_product` gives at depth p on that
-    sketch.
+    higher than ``G = A A^T``; ``Y_p`` spans what :func:`power_product`
+    gives at depth p on that sketch.
     """
     A = as_matrix(A, "A")
     k = _check_level(k, *A.shape)

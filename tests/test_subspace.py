@@ -99,13 +99,13 @@ class TestPowerProduct:
 
     def test_orthonormalizes_only_when_the_spread_demands_it(self, monkeypatch):
         calls = []
-        real = np.linalg.qr
+        real = subspace_module._orthonormalize
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return real(*args, **kwargs)
+        def counting(Yt, *args):
+            calls.append(Yt.shape)
+            return real(Yt, *args)
 
-        monkeypatch.setattr(np.linalg, "qr", counting)
+        monkeypatch.setattr(subspace_module, "_orthonormalize", counting)
         # Gap 0.99 at k, as in the benchmark sweep: the block spreads slowly.
         problem = synthetic_problem(100, 20, 0.99, 0.2, RngSeed(60))
         power_product(problem.A, gaussian_matrix(100, 24, RngSeed(61)), 47)
@@ -141,13 +141,13 @@ class TestPowerProduct:
         # steps would spread it past two thirds of the 1e6 limit, so a QR
         # follows every step after the second QR.
         rungs_at_qr = []
-        real = np.linalg.qr
+        real = subspace_module._orthonormalize
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             rungs_at_qr.append(len(ladder.rungs))
-            return real(*args, **kwargs)
+            return real(*args)
 
-        monkeypatch.setattr(np.linalg, "qr", counting)
+        monkeypatch.setattr(subspace_module, "_orthonormalize", counting)
         problem = synthetic_problem(100, 20, 0.99, 0.2, RngSeed(60))
         power_product(problem.A, gaussian_matrix(100, 24, RngSeed(61)), 47)
         assert rungs_at_qr[:2] == [0, 4] and set(rungs_at_qr[1:]) == {4}
@@ -230,40 +230,66 @@ def perfbench_inputs():
     return module
 
 
-class TestQRSchedule:
-    """No QR after a walk's first reads a spread past the limit of the
-    precision its block is in: 1e6 in float64, 1e4 in float32.  An interval
-    of one pass is exempt, since no schedule can split it."""
+def instrument_qrs(monkeypatch):
+    """Instruments the walk's QRs.  Returns a function that runs one walk
+    and returns a record of each QR it took: the passes of its interval, how
+    far past the spread or drift limit of its precision its block read, in
+    log terms, and whether it ran numpy's Householder QR rather than a
+    Cholesky QR."""
+    real_qr, real = np.linalg.qr, subspace_module._orthonormalize
+    record, householder = [], [0]
 
-    @pytest.fixture
-    def overshoots(self, monkeypatch):
-        """Runs one walk and returns how far past its limit each QR after
-        the first read, in log terms, where that interval ran more than one
-        pass."""
-        readings = []
-        real = subspace_module._orthonormalize
+    def counting_qr(*args, **kwargs):
+        householder[0] += 1
+        return real_qr(*args, **kwargs)
 
-        def reading(Y, passes):
-            logs = np.log(np.abs(np.diag(np.linalg.qr(Y.astype(np.float64), mode="r"))))
-            float32 = Y.dtype == np.float32
-            limits = subspace_module._FLOAT32 if float32 else subspace_module._FLOAT64
-            readings.append((passes, logs.max() - logs.min() - limits.spread))
-            return real(Y, passes)
+    def reading(Yt, passes, steps, cholesky):
+        R = real_qr(Yt.T.astype(np.float64), mode="r")
+        logs = np.log(np.maximum(np.abs(np.diag(R)), np.finfo(np.float64).tiny))
+        limits = subspace_module._FLOAT32 if Yt.dtype == np.float32 else subspace_module._FLOAT64
+        excess = max(logs.max() - logs.min() - limits.spread, np.abs(logs).max() - limits.drift)
+        before = householder[0]
+        result = real(Yt, passes, steps, cholesky)
+        record.append(SimpleNamespace(passes=passes, excess=excess,
+                                      householder=householder[0] > before))
+        return result
 
-        monkeypatch.setattr(subspace_module, "_orthonormalize", reading)
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(subspace_module, "_orthonormalize", reading)
 
-        def run(walk, *args, **kwargs):
-            readings.clear()
-            walk(*args, **kwargs)
-            return [excess for passes, excess in readings[1:] if passes > 1 and excess > 0]
+    def run(walk, *args, **kwargs):
+        record.clear()
+        walk(*args, **kwargs)
+        return list(record)
 
-        return run
+    return run
 
-    def test_paper_grid_walks_stay_within_the_limit(self, overshoots):
-        # The 100 walks of the benchmark's generator at seeds 1..5: two
-        # problems per n and two sketches each, at the paper's depth, both
-        # in float64 and as the solver asks for them.
-        inputs = perfbench_inputs()
+
+def overshoots(qrs):
+    """How far past its limit each QR after the first read, where its
+    interval ran more than one pass."""
+    return [qr.excess for qr in qrs[1:] if qr.passes > 1 and qr.excess > 0]
+
+
+def checked(qrs) -> int:
+    """The QRs after the first whose interval ran more than one pass."""
+    return sum(qr.passes > 1 for qr in qrs[1:])
+
+
+@pytest.fixture
+def qr_walk(monkeypatch):
+    return instrument_qrs(monkeypatch)
+
+
+@pytest.fixture(scope="class")
+def paper_grid_qrs():
+    """The QRs of the 100 walks of the benchmark's generator at seeds 1..5:
+    two problems per n and two sketches each, at the paper's depth, both in
+    float64 and as the solver asks for them."""
+    inputs = perfbench_inputs()
+    walks = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        run = instrument_qrs(monkeypatch)
         for seed in range(1, 6):
             for n in inputs.PAPER_GRID:
                 p = inputs.paper_depth(n)
@@ -273,26 +299,116 @@ class TestQRSchedule:
                     for sketch_seed in rng.integers(inputs.SEED_LIMIT, size=2):
                         args = (A, 20, p, RngSeed(int(sketch_seed)))
                         for rounding in (np.float64, np.float32):
-                            excess = overshoots(power_basis, *args, dtype=rounding)
-                            assert excess == [], (seed, n, j)
+                            walks.append(((seed, n, j), run(power_basis, *args, dtype=rounding)))
+    return walks
 
-    def test_hard_spectrum_walks_stay_within_the_limit(self, overshoots):
+
+class TestQRSchedule:
+    """No QR after a walk's first reads a spread or drift past the limits of
+    the precision its block is in: a spread of 1e6 and a drift of 1e100 in
+    float64, 1e4 and 1e15 in float32.  An interval of one pass is exempt,
+    since no schedule can split it."""
+
+    def test_paper_grid_walks_stay_within_the_limit(self, paper_grid_qrs):
+        # Each first QR reads A S and pass 1, one and a half passes, so the
+        # fixture reads each interval's passes; every float32 walk, and all
+        # the walks together at least once a walk, check a later QR.
+        for walk, qrs in paper_grid_qrs:
+            assert qrs[0].passes == 1.5, walk
+            assert overshoots(qrs) == [], walk
+        assert all(checked(qrs) >= 1 for _, qrs in paper_grid_qrs[1::2])
+        assert sum(checked(qrs) for _, qrs in paper_grid_qrs) >= len(paper_grid_qrs)
+
+    def test_paper_grid_walks_take_cholesky_qr_after_the_first(self, paper_grid_qrs):
+        # The first QR reads a block no reading bounds, so it is Householder;
+        # every later one plans within float64's spread limit and takes the
+        # cheaper Cholesky QR without falling back.
+        for walk, qrs in paper_grid_qrs:
+            assert [qr.householder for qr in qrs] == [True] + [False] * (len(qrs) - 1), walk
+
+    def test_hard_spectrum_walks_stay_within_the_limit(self, qr_walk):
         A, _, k = hard_spectrum_problem()
         for M in (A, A.T):
             for stream in range(3):
                 for p in (2, 4, 8, 16):
-                    args = (M, k, p, RngSeed(9, stream))
-                    assert overshoots(power_basis, *args, dtype=np.float32) == []
+                    qrs = qr_walk(power_basis, M, k, p, RngSeed(9, stream), dtype=np.float32)
+                    assert len(qrs) >= 2 or p == 2
+                    assert overshoots(qrs) == []
 
-    def test_certificate_walks_stay_within_the_limit(self, overshoots):
+    def test_certificate_walks_stay_within_the_limit(self, qr_walk):
         inputs = perfbench_inputs()
+        later = 0
         for i in range(200):
             instance = inputs.certificate_instance(
                 inputs.rng_for(1, inputs.TAG_CERTIFICATES, i), clustered=i % 2 == 1)
             A, k, p = instance.problem.A, instance.problem.k, instance.p
-            assert overshoots(power_basis_from_sketch, A, instance.S, p) == []
-            assert overshoots(power_basis, A, k, p, RngSeed(instance.solve_seed),
-                              dtype=np.float32) == []
+            for qrs in (qr_walk(power_basis_from_sketch, A, instance.S, p),
+                        qr_walk(power_basis, A, k, p, RngSeed(instance.solve_seed),
+                                dtype=np.float32)):
+                assert overshoots(qrs) == []
+                later += checked(qrs)
+        # Most of these walks are too short for a second QR; 98 QRs come
+        # after a first.
+        assert later >= 50
+
+    def test_adaptive_walks_stay_within_the_limit(self, qr_walk):
+        # The walk without a depth plans to the same margin; it takes a QR
+        # before its first step on G, so that the drift it reads on G's
+        # steps is not diluted by two-product passes.
+        inputs = perfbench_inputs()
+        for seed in range(1, 4):
+            for n in (100, 300, 500):
+                rng = inputs.rng_for(seed, inputs.TAG_PAPER_SWEEP, n, 0)
+                problem = inputs.paper_problem(n, 20, 0.99, 0.2, rng)
+                for sketch_seed in rng.integers(inputs.SEED_LIMIT, size=2):
+                    qrs = qr_walk(adaptive_truncated_solve, problem.A, problem.b, 20, 0.05, 0.1,
+                                  RngSeed(int(sketch_seed)))
+                    assert checked(qrs) >= 1, (seed, n)
+                    assert overshoots(qrs) == [], (seed, n)
+
+
+class TestCholeskyQR:
+    def test_blocks_without_a_bounded_spread_fall_back_to_householder(self, qr_walk):
+        # A of rank 10 below the sketch width 14: past the first QR the
+        # block's last columns are rounding noise, so every later QR is
+        # Householder, which completes the basis with orthonormal columns.
+        # The hard spectrum spreads the block by about 1e6 a pass, past what
+        # the walk plans a Cholesky QR for.
+        rng = np.random.default_rng(90)
+        A = rank_k_matrix(rng, 200, 200, 10)
+        hard, _, k = hard_spectrum_problem()
+        for M, width, p in ((A, 10, 40), (hard, k, 16), (hard.T, k, 16)):
+            qrs = qr_walk(power_basis, M, width, p, RngSeed(91))
+            assert len(qrs) >= 3 and all(qr.householder for qr in qrs)
+            Q = power_basis(M, width, p, RngSeed(91))
+            assert np.all(np.isfinite(Q))
+            assert np.max(np.abs(Q.T @ Q - np.eye(Q.shape[1]))) <= 1e-12
+
+    def test_a_failed_cholesky_falls_back_to_householder(self):
+        rng = np.random.default_rng(92)
+        for Yt in (np.zeros((4, 30)), rank_k_matrix(rng, 4, 30, 2),
+                   np.diag([1.0, 1e-8, 1.0, 1.0]) @ rng.standard_normal((4, 30))):
+            Qt, spread, drift = subspace_module._orthonormalize(Yt, 2, 2, True)
+            assert np.all(np.isfinite(Qt)) and spread >= 0 and drift >= 0
+            assert np.max(np.abs(Qt @ Qt.T - np.eye(4))) <= 1e-14
+
+    def test_cholesky_reads_what_householder_reads(self):
+        # diag L of the Gram's Cholesky factor is |diag R| in exact
+        # arithmetic; a float32 block's Gram is formed in float64.
+        rng = np.random.default_rng(93)
+        Yt = np.diag(np.logspace(0, -5, 24)) @ rng.standard_normal((24, 300))
+        for block in (Yt, Yt.astype(np.float32)):
+            cholesky = subspace_module._orthonormalize(block, 3, 2, True)
+            householder = subspace_module._orthonormalize(block, 3, 2, False)
+            assert cholesky[0].dtype == householder[0].dtype == block.dtype
+            # diag L carries the Gram's rounding, about kappa^2 u = 1e-6
+            # relative on the weakest column.
+            assert_allclose(cholesky[1:], householder[1:], rtol=0, atol=1e-6)
+            Qt = cholesky[0].astype(np.float64)
+            atol = 1e-6 if block.dtype == np.float32 else 1e-10
+            assert np.max(np.abs(Qt @ Qt.T - np.eye(24))) <= atol
+            Q = np.linalg.qr(Yt.T)[0]
+            assert projection_distance_oracle(Qt.T, Q) <= atol
 
 
 class TestFloat32Ladder:
@@ -327,6 +443,25 @@ class TestFloat32Ladder:
         x = approx_truncated_solve(A, b, 20, p, seed).x
         assert x.tobytes() == solve_factored(fact, b).tobytes()
 
+    def test_paper_solves_stay_within_float32_rounding_of_the_float64_walk(self):
+        # The first float32 interval is planned on a float64 reading taken
+        # after one and a half passes, which runs low; planned at the
+        # ordinary margin it reached a spread of e^8.9 against float32's
+        # e^9.2 and moved x by 3.3e-6 at n = 300.
+        inputs = perfbench_inputs()
+        for n in inputs.PAPER_GRID[1:]:
+            p = inputs.paper_depth(n)
+            for j in range(4):
+                rng = inputs.rng_for(1, inputs.TAG_PAPER_SWEEP, n, j)
+                problem = inputs.paper_problem(n, 20, 0.99, 0.2, rng)
+                A, b = problem.A, problem.b
+                for sketch_seed in rng.integers(inputs.SEED_LIMIT, size=5)[:3]:
+                    seed = RngSeed(int(sketch_seed))
+                    fact = subspace_module.ritz_factorization(A, power_basis(A, 20, p, seed), 20)[1]
+                    x = solve_factored(fact, b)
+                    solved = approx_truncated_solve(A, b, 20, p, seed).x
+                    assert np.linalg.norm(solved - x) <= 1e-6 * np.linalg.norm(x), (n, j)
+
     @pytest.mark.parametrize("gamma", [0.8, 0.9])
     def test_well_separated_spectrum_falls_back_to_float64(self, gamma):
         # At gap 0.9 or less and this depth the float64 solution is exact to
@@ -354,13 +489,13 @@ class TestPowerIterates:
         assert projection_distance_oracle(np.linalg.qr(Y)[0], np.linalg.qr(Z)[0]) <= 1e-10
 
     def test_spans_the_fixed_depth_iterate_on_a_tall_matrix(self):
-        # Both walks take the same two-product passes; the one toward p
-        # plans its QRs to two thirds of the spread limit.
+        # Both walks take the same two-product passes and plan their QRs to
+        # the same margin, so they give the same iterate.
         A = gaussian_matrix(90, 40, RngSeed(75))
         p, seed = math.ceil(10 * math.log(40)), RngSeed(76)
         Y = next(islice(subspace_module.power_iterates(A, 5, seed), p, None))
         Z = power_product(A, gaussian_matrix(40, 9, seed), p)
-        assert projection_distance_oracle(np.linalg.qr(Y)[0], np.linalg.qr(Z)[0]) <= 1e-10
+        assert Y.tobytes() == Z.tobytes()
 
     def test_forms_the_gram_matrix_once_the_passes_run_repay_it(self, ladder):
         # Break-even is 500 / (2 * 24) = 10.4 two-product passes: G is formed
