@@ -41,6 +41,9 @@ __all__ = [
 # Stream used for the solver's sketch, far from the generator streams 0..2.
 SKETCH_STREAM_OFFSET = 10_000
 
+# Each sweep row times both solvers as the minimum of this many runs.
+_TIMING_REPS = 3
+
 _UINT64_MASK = (1 << 64) - 1
 _CSV_FIELDS = ("n", "k", "p", "seed", "objective_error", "solution_error",
                "time_exact_s", "time_approx_s")
@@ -207,10 +210,10 @@ def _solve_pair(
     approx = None
     time_exact = math.inf
     time_approx = math.inf
-    for _ in range(max(1, int(timing_reps))):
+    for _ in range(timing_reps):
         exact = exact_truncated_solve(A, b, k)
         time_exact = min(time_exact, exact.wall_time)
-    for _ in range(max(1, int(timing_reps))):
+    for _ in range(timing_reps):
         approx = approx_truncated_solve(A, b, k, p, sketch_seed)
         time_approx = min(time_approx, approx.wall_time)
     objective_error = (approx.residual_norm - exact.residual_norm) / exact.rhs_norm
@@ -239,11 +242,10 @@ def _run_one(
     row_seed: int,
     gamma_target: float,
     noise: float,
-    timing_reps: int,
 ) -> ReportRow:
     try:
         problem = synthetic_problem(n, k, gamma_target, noise, RngSeed(row_seed))
-        metrics = _solve_pair(problem, p, RngSeed(row_seed, SKETCH_STREAM_OFFSET), timing_reps)
+        metrics = _solve_pair(problem, p, RngSeed(row_seed, SKETCH_STREAM_OFFSET), _TIMING_REPS)
         error = None
     except Exception as exc:  # noqa: BLE001 - a failed run must not abort the sweep
         metrics = (math.nan,) * 4
@@ -260,13 +262,13 @@ def run_experiment(
     base_seed: RngSeed = RngSeed(0),
     *,
     noise: float = 0.2,
-    timing_reps: int = 3,
 ) -> ExperimentReport:
     """Sweep (n, trial) pairs, solving each synthetic problem exactly and
     with the randomized solver.  A failed run becomes an error row (NaN
     metrics); the sweep never aborts.  Rows run one at a time, so the two
-    timing columns are uncontended; they are sorted by (n, seed), and all
-    metric columns are deterministic for fixed arguments.
+    timing columns, each the minimum of three runs, are uncontended; they are
+    sorted by (n, seed), and all metric columns are deterministic for fixed
+    arguments.
     """
     n_values = [int(n) for n in n_values]
     if not n_values:
@@ -291,7 +293,7 @@ def run_experiment(
             tasks.append((n, k, p, derive_row_seed(base_seed, n, trial)))
 
     rows = [
-        _run_one(n, k, p, row_seed, gamma_target, noise, timing_reps)
+        _run_one(n, k, p, row_seed, gamma_target, noise)
         for n, k, p, row_seed in tasks
     ]
     rows.sort(key=lambda row: (row.n, row.seed))

@@ -355,7 +355,6 @@ def lower_bound_instance(
         z = failure_svd.V[:, 0]
     except ZeroMatrix:
         epsilon_star = 0.0
-        z = exact.V[:, 0]
     negligible = epsilon_star <= NEGLIGIBLE_SEPARATION
     if negligible:
         z = exact.V[:, 0]

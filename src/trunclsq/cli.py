@@ -88,9 +88,8 @@ def _emit_outcome(outcome: SolveOutcome, args: argparse.Namespace) -> None:
     print(f"rhs_norm = {_fmt(outcome.rhs_norm)}")
     if outcome.k is not None:
         print(f"k = {outcome.k}")
-    if outcome.p is not None:
+    if outcome.p is not None:  # a sketched solve: it ran p passes on a seeded sketch
         print(f"p = {outcome.p}")
-    if outcome.method in ("approx_truncated", "adaptive_truncated"):
         print(f"seed = {_fmt_seed(args.seed)}")
 
 

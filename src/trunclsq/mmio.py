@@ -4,13 +4,14 @@ Supports the plain-text exchange format for real general matrices:
 
 * ``load_matrix`` reads either variant into a dense float64 array.  The
   ``array`` variant stores entries in column-major order; ``coordinate``
-  entries are densified with duplicates summed, per the format convention.
-  A file whose banner and size line are its first two lines and which holds
-  no comment is parsed in one vectorized pass: numpy's str-to-number casts
-  accept exactly the tokens ``float()`` and ``int()`` accept, so the arrays
-  are bitwise those of a token-by-token parse.  The line-by-line parser
-  serves only files with comments or blank lines before the size line, and
-  files with a fault, for which it words the error.
+  entries are densified with duplicates summed in file order, per the
+  format convention.  An ``array`` file whose banner and size line are its
+  first two lines and which holds no comment is parsed in one vectorized
+  pass: numpy's str-to-float cast accepts exactly the tokens ``float()``
+  accepts, so the array is bitwise that of a token-by-token parse.  Every
+  other file -- a ``coordinate`` file, one with comments or blank lines
+  before the size line, one with a fault -- goes through the line-by-line
+  parser, which words each fault.
 * ``save_matrix`` emits the ``array`` variant with shortest round-trip
   decimal values and LF line endings, so writes are byte-reproducible.
 * Vectors travel as single-column ``array`` files.
@@ -113,44 +114,30 @@ def _parse_size(layout: str, line: str, path, lineno: int) -> tuple[int, int, in
 
 
 def _parse_clean(text: str, path) -> np.ndarray | None:
-    """Parse a comment-free file in one vectorized pass, or return None.
+    """Parse a comment-free ``array`` file in one vectorized pass, or return
+    None.
 
     Applies when the banner and the size line are lines 1 and 2 and no ``%``
     follows the banner; a fault in either raises what ``_parse_lines``
-    raises.  Returns None wherever ``_parse_lines`` would not return the same
-    array -- a comment, a blank size line, a bad token, a wrong count, an
-    out-of-range index or a non-finite value -- so that it handles the file.
-    No list of lines is built for ``array``: its text is split once.
+    raises.  Returns None for a ``coordinate`` file and wherever
+    ``_parse_lines`` would not return the same array -- a comment, a blank
+    size line, a bad token, a wrong count or a non-finite value -- so that
+    it handles the file.  The body is split once; no list of lines is built.
     """
     first = text.find("\n")
     second = text.find("\n", first + 1)
     if first < 0 or second < 0 or text.find("%", first) >= 0:
         return None
     head = text[:second].splitlines()
-    if len(head) != 2 or not head[1].strip():
+    if len(head) != 2 or not head[1].strip() or _parse_banner(head[0], path) != "array":
         return None
-    layout = _parse_banner(head[0], path)
-    rows, cols, count = _parse_size(layout, head[1], path, 2)
-    # A wrong entry count fails the reshape with ValueError.
-    try:
-        if layout == "array":
-            values = np.array(text[second + 1 :].split(), dtype=np.float64)
-            values = values.reshape((rows, cols), order="F")
-            return values if np.isfinite(values).all() else None
-        body = text[second + 1 :]
-        # One entry per nonblank line, as _parse_lines demands.
-        if not set(map(len, map(str.split, body.splitlines()))) <= {0, 3}:
-            return None
-        table = np.array(body.split(), dtype=object).reshape((count, 3))
-        index = table[:, :2].astype(np.int64)
-        values = table[:, 2].astype(np.float64)
-    except (ValueError, OverflowError):
+    rows, cols, _ = _parse_size("array", head[1], path, 2)
+    try:  # a bad token, or a wrong entry count, which fails the reshape
+        values = np.array(text[second + 1 :].split(), dtype=np.float64)
+        values = values.reshape((rows, cols), order="F")
+    except ValueError:
         return None
-    if not ((index >= 1) & (index <= (rows, cols))).all() or not np.isfinite(values).all():
-        return None
-    matrix = np.zeros((rows, cols), dtype=np.float64)
-    np.add.at(matrix, (index[:, 0] - 1, index[:, 1] - 1), values)
-    return matrix
+    return values if np.isfinite(values).all() else None
 
 
 def _parse_lines(text: str, path) -> np.ndarray:

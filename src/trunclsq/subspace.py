@@ -37,8 +37,8 @@ steps on them run in float32 under float32's own spread, drift and Gram
 limits.  Everything else stays float64: ``A S``, the two-product passes,
 every walk without a depth, the terminal QR, the Ritz step and the apply.
 The walk does so only where the caller asks for it, where float32's
-tighter Gram limit costs the ladder no rung, and where the flops float32
-halves outweigh the QRs its tighter spread limit adds.
+tighter Gram limit costs float64's ladder plan no rung, and where the flops
+float32 halves outweigh a measured count of the QRs it adds.
 :func:`approx_truncated_svd` asks for it, then keeps the float32 answer
 only where its own Ritz residual shows that the sketch's error dwarfs
 float32's rounding; on the paper's problems (n = 200..500, gap 0.99) x
@@ -178,9 +178,16 @@ _FLOAT64_EDGE = -math.log(np.finfo(np.float64).tiny)
 # costs about as much as 6e5 + 12 m l^2 flops of the ladder's products: with
 # numpy 2.4 on one OpenBLAS thread and l = 24 it took 40 us at m = 100,
 # 53 us at m = 300 and 61 to 100 us at m = 500, where A A^T took 31 us,
-# 0.56 ms and 2.3 to 2.5 ms.  Householder QR, which it replaced after the
-# walk's first QR, took 44, 88 and 140 us.
+# 0.56 ms and 2.3 to 2.5 ms.
 _QR_FLOPS = (6e5, 12)
+
+# The QRs a float32 ladder adds to its walk, through float32's tighter spread
+# limit and a first interval planned at twice the margin, counted where the
+# choice is closest: on the n = 100 paper walks of the benchmark's generator
+# (seeds 1 to 5) whose spread float32's Gram limit admits, the float32 walk
+# took 11 loop QRs where the float64 walk took 5.  Larger walks add fewer,
+# 1 to 4 at n = 200 and 300, and their ladders repay 6 all the same.
+_FLOAT32_QRS = 6
 
 # approx_truncated_svd keeps a basis whose walk ran its ladder in float32
 # only where the k-th Ritz pair's relative residual
@@ -296,34 +303,25 @@ def _climbs(A: np.ndarray, width: int, level: int, spread: float, run: int,
     return not left % (1 << j) and (left >> j) * 2 * width >= m
 
 
-def _top_rung(m: int, width: int, spread: float, left: int, limits: _Limits) -> int:
-    """The highest rung that :func:`_climbs` reaches under ``limits`` with
-    ``left`` passes to go, were every bit of ``left`` set."""
-    j = 0
-    while spread * (2 << j) <= limits.gram and (left >> (j + 1)) * 2 * width >= m:
-        j += 1
-    return j
-
-
 def _float32_pays(A: np.ndarray, width: int, spread: float, run: int, depth: int) -> bool:
     """Whether a walk about to form G toward ``depth`` forms its ladder in
-    float32.  float32's Gram limit must let it form G and climb as high as
-    float64's would: a spread too wide for that would cost the ladder rungs,
-    and it converges so fast that approx_truncated_svd would likely run the
-    walk again in float64 (gap 0.5 at n = 300 did, at twice the time).  And
-    half the ladder's flops, G's ``m^2 n``, ``m^3`` a squaring and
-    ``2 m^2 l`` a step, must outweigh the QRs that float32's tighter spread
-    limit takes over the passes left, and two more for the first interval,
-    which is planned at twice the margin, at ``_QR_FLOPS`` each."""
+    float32.  The walk plans float64's ladder: the highest rung ``top`` that
+    :func:`_climbs` reaches under float64's Gram limit with the passes left,
+    were every bit of them set.  float32's Gram limit must admit that rung,
+    and so every rung below it, since the repay test is the same in both
+    precisions: a spread too wide for that would cost the ladder rungs, and
+    it converges so fast that approx_truncated_svd would likely run the walk
+    again in float64 (gap 0.5 at n = 300 did, at twice the time).  And half
+    the ladder's flops, G's ``m^2 n``, ``m^3`` a squaring and ``2 m^2 l`` a
+    step, must outweigh ``_FLOAT32_QRS`` QRs at ``_QR_FLOPS`` each."""
     m, n = A.shape
-    left = depth - run
-    top = _top_rung(m, width, spread, left, _FLOAT32)
-    if not _climbs(A, width, -1, spread, run, depth, _FLOAT32) or top < _top_rung(
-            m, width, spread, left, _FLOAT64):
+    left, top = depth - run, 0
+    while spread * (2 << top) <= _FLOAT64.gram and (left >> (top + 1)) * 2 * width >= m:
+        top += 1
+    if not _climbs(A, width, -1, spread * (1 << top), run, depth, _FLOAT32):
         return False
     ladder = m * m * n + top * m**3 + 2 * m * m * width * (left >> top)
-    qrs = 2 + _PLANNING_MARGIN * spread * left * (1 / _FLOAT32.spread - 1 / _FLOAT64.spread)
-    return ladder >= 2 * qrs * (_QR_FLOPS[0] + _QR_FLOPS[1] * m * width**2)
+    return ladder >= 2 * _FLOAT32_QRS * (_QR_FLOPS[0] + _QR_FLOPS[1] * m * width**2)
 
 
 def _walk(A: np.ndarray, S: np.ndarray, depth: int | None = None, *,

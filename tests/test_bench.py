@@ -136,7 +136,6 @@ class TestRunExperiment:
             seeds_per_n=3,
             base_seed=RngSeed(7),
             noise=0.2,
-            timing_reps=1,
         )
         settings.update(overrides)
         return run_experiment(**settings)

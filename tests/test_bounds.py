@@ -330,6 +330,18 @@ class TestLowerBoundInstance:
         assert result.epsilon_star <= 1e-12
         assert np.linalg.norm(result.b) > 0.0
 
+    def test_exact_factors_leave_a_zero_failure_block(self):
+        # The exact pair reproduces A_k, so (I - A_k A~_k^+) A_k is exactly
+        # zero, has no SVD, and the instance falls back to A's leading
+        # right singular vector.
+        approx = TruncatedFactorization(
+            U=np.eye(4)[:, :2], sigma=np.ones(2), V=np.eye(4)[:, :2], k=2, kind="approximate"
+        )
+        result = lower_bound_instance(np.eye(4), approx, 2)
+        assert result.epsilon_star == 0.0
+        assert result.negligible
+        assert np.array_equal(result.b, [1.0, 0.0, 0.0, 0.0])
+
     def test_rejects_level_mismatch(self):
         A = gaussian_matrix(8, 6, RngSeed(112))
         approx = approx_truncated_svd(A, 2, 1, RngSeed(113))

@@ -1,11 +1,13 @@
-"""The one-pass Matrix Market parse against token-by-token references.
+"""The Matrix Market parse against token-by-token references.
 
-A file whose banner and size line are lines 1 and 2 and which holds no
-comment is parsed by numpy casts in one pass; every other file, and every
-fault, goes through the line-by-line parser.  These tests pin that the two
-give bitwise the same arrays and word the same errors, that clean files do
-take the one-pass route, and that the writer's bytes are those of a
-per-value ``repr(float(v))`` writer.
+Only ``array`` files take one pass: one whose banner and size line are
+lines 1 and 2 and which holds no comment is parsed by numpy casts.  Every
+other file, ``coordinate`` files among them, and every fault, goes through
+the line-by-line parser.  These tests pin that the two give bitwise the
+same arrays and word the same errors, that clean ``array`` files do take
+the one-pass route, that ``coordinate`` files load bitwise as an
+entry-by-entry reference parse does, and that the writer's bytes are those
+of a per-value ``repr(float(v))`` writer.
 """
 
 import subprocess
@@ -127,7 +129,7 @@ class TestOnePassArray:
 
 
 class TestOnePassCoordinate:
-    def test_duplicates_sum_in_file_order(self, tmp_path, one_pass_only):
+    def test_duplicates_sum_in_file_order(self, tmp_path):
         rng = np.random.default_rng(5)
         rows, cols, count = 4, 3, 200
         i = rng.integers(1, rows + 1, count)
@@ -138,7 +140,7 @@ class TestOnePassCoordinate:
         loaded = load_matrix(write(tmp_path, text))
         assert loaded.tobytes() == reference_coordinate(text).tobytes()
 
-    def test_python_integer_spellings(self, tmp_path, one_pass_only):
+    def test_python_integer_spellings(self, tmp_path):
         text = COORDINATE + "3 3 3\n+1 0003 1_0\n2 1 -0\n1 3 .5\n"
         loaded = load_matrix(write(tmp_path, text))
         assert loaded.tobytes() == reference_coordinate(text).tobytes()

@@ -462,6 +462,33 @@ class TestFloat32Ladder:
                     solved = approx_truncated_solve(A, b, 20, p, seed).x
                     assert np.linalg.norm(solved - x) <= 1e-6 * np.linalg.norm(x), (n, j)
 
+    def test_precision_census_on_the_benchmark_inputs(self):
+        # On the paper grid the flops float32 halves outweigh the QRs it adds
+        # from n = 200 on; certificate walks are too small for it to pay.
+        inputs = perfbench_inputs()
+        for seed in (1, 2):
+            for n in inputs.PAPER_GRID:
+                for j in range(2):
+                    rng = inputs.rng_for(seed, inputs.TAG_PAPER_SWEEP, n, j)
+                    A = inputs.paper_problem(n, 20, 0.99, 0.2, rng).A
+                    sketch_seed = int(rng.integers(inputs.SEED_LIMIT, size=5)[0])
+                    Q = power_basis(A, 20, inputs.paper_depth(n), RngSeed(sketch_seed),
+                                    dtype=np.float32)
+                    assert Q.dtype == (np.float64 if n == 100 else np.float32), (seed, n, j)
+            for i in range(100):
+                instance = inputs.certificate_instance(
+                    inputs.rng_for(seed, inputs.TAG_CERTIFICATES, i), clustered=i % 2 == 1)
+                A, k, p = instance.problem.A, instance.problem.k, instance.p
+                Q = power_basis(A, k, p, RngSeed(instance.solve_seed), dtype=np.float32)
+                assert Q.dtype == np.float64, (seed, i)
+
+    def test_small_wide_walk_keeps_float64(self):
+        # Near m = 100 float32 adds about six loop QRs to the walk, more than
+        # the flops it halves repay: on this shape float64 solved about 5 %
+        # faster (min of 15, one thread).
+        A = np.random.default_rng(0).standard_normal((100, 200))
+        assert power_basis(A, 10, 47, RngSeed(1), dtype=np.float32).dtype == np.float64
+
     @pytest.mark.parametrize("gamma", [0.8, 0.9])
     def test_well_separated_spectrum_falls_back_to_float64(self, gamma):
         # At gap 0.9 or less and this depth the float64 solution is exact to

@@ -3,11 +3,13 @@
 A name a module lists in ``__all__`` must be read somewhere in the package's
 modules (the package root's re-exports do not count), or be documented in
 README.md as part of the public interface, and it must be defined in that
-module: only the package root re-exports.  A name a module imports at module
-level must be read in that module or listed in its ``__all__``, and no module
-imports inside a function, which would hide an import cycle.  A private
-function, class or constant at module level must be read by some module of
-the package: one that nothing reads is a leftover.
+module: only the package root re-exports.  A keyword-only parameter of an
+exported function must likewise be passed by name to that function
+somewhere in the package, or be named in README.md.  A name a module imports at module level must be
+read in that module or listed in its ``__all__``, and no module imports
+inside a function, which would hide an import cycle.  A private function,
+class or constant at module level must be read by some module of the
+package: one that nothing reads is a leftover.
 """
 
 import ast
@@ -52,6 +54,22 @@ def test_every_export_has_a_caller_or_a_readme_entry():
         if not name.startswith("__") and name not in used and name not in readme
     )
     assert orphans == []
+
+
+def test_every_exported_knob_is_turned_or_documented():
+    passed, knobs = set(), []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        passed |= {(getattr(node.func, "id", None) or getattr(node.func, "attr", None), kw.arg)
+                   for node in ast.walk(tree) if isinstance(node, ast.Call) for kw in node.keywords}
+        exported = set(declared_all(tree))
+        knobs += [(path.name, node.name, arg.arg) for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name in exported
+                  for arg in node.args.kwonlyargs]
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    unturned = sorted(f"{module}:{function}({name}=)" for module, function, name in knobs
+                      if (function, name) not in passed and name not in readme)
+    assert unturned == []
 
 
 def defined_names(tree):
