@@ -11,10 +11,11 @@ Subcommands::
 
 ``solve --p`` runs that many power passes (:func:`approx_truncated_solve`).
 ``solve --epsilon --delta`` runs :func:`adaptive_truncated_solve` instead: it
-stops once the solution has settled to the ``(epsilon, 4/3 epsilon)`` target,
-or at the depth :func:`trunclsq.bounds.choose_power_depth` gives for
-``(epsilon, delta)`` on the current Ritz values, and the printed ``p`` is the
-number of passes it ran.
+re-solves at depths 0, 8, 16, 32, ... and stops once the solution has
+settled to the ``(epsilon, 4/3 epsilon)`` target, or at the depth
+:func:`trunclsq.bounds.choose_power_depth` gives for ``(epsilon, delta)`` on
+the current Ritz values, and the printed ``p`` is the number of passes it
+ran.
 
 Argparse routes each subcommand to its handler, and the handler's usage
 checks come first, before any file is read or written.  Matrices and vectors
@@ -332,7 +333,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_solver_args(sp)
     sp.add_argument("--p", type=int, help="power-iteration depth")
     sp.add_argument(
-        "--epsilon", type=float, help="accuracy target: without --p, iterate until x settles to it"
+        "--epsilon", type=float,
+        help="accuracy target: without --p, iterate to depths 0, 8, 16, 32, ... until x settles to it"
     )
     sp.add_argument(
         "--delta", type=float, help="failure-probability target of the worst-case depth cap"

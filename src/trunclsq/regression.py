@@ -10,7 +10,8 @@ apply step, :func:`trunclsq.linalg.solve_factored`, which computes
 * :func:`approx_truncated_solve` does the same on the sketched rank-k
   factorization from :mod:`trunclsq.subspace`, avoiding the full SVD.
 * :func:`adaptive_truncated_solve` runs the sketched solve as subspace
-  iteration and stops once the solution has settled to an accuracy target.
+  iteration to checkpoints of doubling depth and stops once the solution has
+  settled to an accuracy target.
 * :func:`tikhonov_solve` applies filter factors ``sigma^2/(sigma^2+lambda^2)``
   per singular component.
 * :func:`full_ls_solve` keeps every nonzero triple: the minimum-norm
@@ -40,7 +41,7 @@ from .linalg import (
     thin_svd,
 )
 from .sketch import RngSeed
-from .subspace import approx_truncated_svd, power_iterates, ritz_factorization
+from .subspace import approx_truncated_svd, ritz_checkpoints
 
 __all__ = [
     "SolveOutcome",
@@ -51,11 +52,21 @@ __all__ = [
     "full_ls_solve",
 ]
 
-# adaptive_truncated_solve re-solves after every this many passes, and
-# extrapolates the remaining change of x as a geometric series whose ratio is
-# capped below one, so that a stalled sequence is never taken as converged.
-_CHECKPOINT_PASSES = 5
+# adaptive_truncated_solve re-solves at depth 0, _FIRST_CHECKPOINT and then
+# _GROWTH times the last depth, and extrapolates the remaining change of x
+# as a geometric series whose ratio is capped below one, so that a stalled
+# sequence is never taken as converged.  A first checkpoint at 12 or 16
+# passed the depth rule's cap on the gap-0.5 acceptance instance, whose
+# Ritz values at depth 0 give a cap up to 16 where the true one is 9; one
+# at 4 adds a Ritz step to every solve that stops at 16 or later.
+_FIRST_CHECKPOINT = 8
+_GROWTH = 2
 _RATE_CAP = 0.999
+
+# The least epsilon at which the adaptive walk runs its Gram ladder in
+# float32, whose rounding moved x by at most about 4e-6 relative on the
+# problems measured: below 0.3 % of the (4/3) epsilon target.
+_FLOAT32_EPSILON = 1e-3
 
 
 @dataclass(frozen=True)
@@ -81,26 +92,12 @@ class SolveOutcome:
     wall_time: float
 
 
-def _outcome(
-    method: str,
-    A: np.ndarray,
-    b: np.ndarray,
-    x: np.ndarray,
-    k: int | None,
-    p: int | None,
-    started: float,
-) -> SolveOutcome:
+def _outcome(method: str, A: np.ndarray, b: np.ndarray, x: np.ndarray, k: int | None,
+             p: int | None, started: float) -> SolveOutcome:
     wall_time = time.perf_counter() - started
-    residual_norm = float(np.linalg.norm(A @ x - b))
-    return SolveOutcome(
-        x=x,
-        residual_norm=residual_norm,
-        rhs_norm=float(np.linalg.norm(b)),
-        method=method,
-        k=k,
-        p=p,
-        wall_time=wall_time,
-    )
+    return SolveOutcome(x=x, residual_norm=float(np.linalg.norm(A @ x - b)),
+                        rhs_norm=float(np.linalg.norm(b)), method=method, k=k, p=p,
+                        wall_time=wall_time)
 
 
 def exact_truncated_solve(A: np.ndarray, b: np.ndarray, k: int) -> SolveOutcome:
@@ -126,19 +123,15 @@ def approx_truncated_solve(
     Uses the sketched rank-k factorization after p power-iteration passes;
     the cost is dominated by ``O(m n (k + s) (p + 1))`` multiply-adds, with
     ``s = 4`` oversampling columns, instead of a full SVD.  On a square or
-    wide A whose head is not too spread, a solve with more than about
-    ``n / (2 (k + s))`` passes left after the first runs them on ``A A^T``
-    and its squares ``(A A^T)^(2^j)``, so a deep solve costs
-    ``O(m^2 n + J m^3 + m^2 (k + s) (p / 2^J + J))`` for the J squarings
-    that repay themselves.  Where the saving outweighs the QRs it adds, from
-    about n = 200 on the paper's problems, that ladder runs in float32, at
-    41-67 % of the float64 time on OpenBLAS, and moves x by 2e-7 to 5e-7
-    relative on those problems (up to 4e-6 on flatter spectra measured,
-    where the sketch's own error was 6e-2).  A solve whose k-th Ritz
-    residual reads below 1e-5, where that move could matter, runs its walk
-    again in float64 and returns its x, at about twice the cost.  Raises
-    :class:`IllConditionedTruncation` when the recovered k-th singular value
-    falls below ``SIGMA_RATIO_FLOOR`` times the first.
+    wide A whose head is not too spread, a deep solve runs its passes on
+    ``A A^T`` and its squares ``(A A^T)^(2^j)``, for
+    ``O(m^2 n + J m^3 + m^2 (k + s) (p / 2^J + J))`` with J squarings, and
+    from about n = 200 on the paper's problems runs that ladder in float32,
+    which moves x by 2e-7 to 5e-7 relative there (up to 4e-6 on flatter
+    spectra); where the k-th Ritz residual reads below 1e-5 it runs the walk
+    again in float64 and returns its x (:func:`trunclsq.subspace.approx_truncated_svd`).
+    Raises :class:`IllConditionedTruncation` when the recovered k-th singular
+    value falls below ``SIGMA_RATIO_FLOOR`` times the first.
     """
     A = as_matrix(A, "A")
     b = as_vector(b, "b", dim=A.shape[0])
@@ -157,12 +150,19 @@ def _relative_change(x: np.ndarray, previous: np.ndarray) -> float:
     return 0.0 if change == 0.0 else math.inf
 
 
-def _settled(change: float, last_change: float, epsilon: float) -> bool:
+def _next_checkpoint(p: int, cap: int) -> int:
+    return min(max(_FIRST_CHECKPOINT, _GROWTH * p), cap)
+
+
+def _settled(change: float, last_change: float, growth: float, epsilon: float) -> bool:
     """Whether x is within the ``(4/3) epsilon`` solution-error target: the
-    last change is, and so is twice the change still to come, extrapolated
-    from the ratio of the last two changes."""
+    last change is, and so is twice the change still to come.  A change over
+    L passes shrinks like ``rho^L``, so the ratio of the last two changes,
+    raised to ``growth``, the last segment's length over the one before, is
+    the rate of the series the changes to come form; it errs high, which
+    only makes the estimate of what is to come larger."""
     target = 4.0 / 3.0 * epsilon
-    rate = min(change / last_change, _RATE_CAP) if last_change > 0.0 else _RATE_CAP
+    rate = min((change / last_change) ** growth, _RATE_CAP) if last_change > 0.0 else _RATE_CAP
     return change <= target and 2.0 * change * rate / (1.0 - rate) <= target
 
 
@@ -171,51 +171,50 @@ def adaptive_truncated_solve(
 ) -> SolveOutcome:
     """Randomized truncated solve that picks its own depth.
 
-    Walks the subspace iteration of :func:`trunclsq.subspace.power_iterates`
-    on the sketch :func:`approx_truncated_solve` draws.  Every few passes it
-    orthonormalizes the iterate to Q, takes the Ritz step
-    :func:`trunclsq.subspace.ritz_factorization` that finishes every
-    fixed-depth solve, solves on its rank-k factorization, and stops at the
-    first of:
+    Runs the subspace iteration of :func:`trunclsq.subspace.ritz_checkpoints`
+    on the sketch :func:`approx_truncated_solve` draws to checkpoints at
+    depths 0, ``_FIRST_CHECKPOINT`` and then ``_GROWTH`` times the last, each
+    segment's ladder planned on the checkpoint after its own.  At each it
+    solves on the Ritz step's rank-k factorization and stops at the first of:
 
-    * the solution has settled: the relative change of x since the last
-      solve, and twice the change still to come (a geometric series at the
-      ratio of the last two changes), are both within ``(4/3) epsilon``, the
-      solution-error target of :func:`trunclsq.bounds.choose_power_depth`;
+    * the solution has settled (:func:`_settled`): the relative change of x
+      since the last solve, and twice the change still to come, are both
+      within ``(4/3) epsilon``, the solution-error target of
+      :func:`trunclsq.bounds.choose_power_depth`;
     * the depth reaches that function's worst-case rule for
-      ``(epsilon, delta)``, evaluated on the current Ritz values and recomputed
-      at every solve.
+      ``(epsilon, delta)``, evaluated on the current Ritz values at every
+      solve; every checkpoint is clamped to it.
 
     ``p`` of the outcome is the number of passes run, and x is the x of
-    ``approx_truncated_solve(A, b, k, p, seed)`` to rounding, since the
-    fixed-depth walk, on a square or wide A, steps on powers of ``A A^T``
-    and takes its QRs where those steps call for them; where it runs those
-    steps in float32, the two agree only to float32's rounding, 2e-7 to
-    8e-7 relative on the paper's problems.  A tied spectrum raises
-    :class:`NoSpectralGap` like the depth rule does, a cross product of rank
-    below k raises :class:`InvalidTruncation`, and a recovered k-th singular
-    value below ``SIGMA_RATIO_FLOOR`` times the first raises
-    :class:`IllConditionedTruncation`.
+    ``approx_truncated_solve(A, b, k, p, seed)`` to rounding: a checkpoint's
+    QR moves it in the last digits, and for ``epsilon >= _FLOAT32_EPSILON``
+    the walk runs its ladder in float32 where that pays, which moves it by
+    up to about 4e-6 relative.  A tied spectrum raises
+    :class:`NoSpectralGap`, a cross product of rank below k
+    :class:`InvalidTruncation`, and a recovered k-th singular value below
+    ``SIGMA_RATIO_FLOOR`` times the first :class:`IllConditionedTruncation`.
     """
     A = as_matrix(A, "A")
     b = as_vector(b, "b", dim=A.shape[0])
     started = time.perf_counter()
+    dtype = np.float32 if epsilon >= _FLOAT32_EPSILON else np.float64
+    walk = ritz_checkpoints(A, k, seed, dtype=dtype)
+    p, ritz, fact = next(walk)
     x = change = None
-    next_solve = 0
-    for p, Y in enumerate(power_iterates(A, k, seed)):
-        if p < next_solve:
-            continue
-        ritz, fact = ritz_factorization(A, np.linalg.qr(Y)[0], k)
+    last = length = 0
+    while True:
         cap = choose_power_depth(epsilon, delta, gap_profile(ritz, k))
         require_invertible(fact)
         x, previous = solve_factored(fact, b), x
         if previous is not None:
             change, last_change = _relative_change(x, previous), change
-            if last_change is not None and _settled(change, last_change, epsilon):
+            if last_change is not None and _settled(change, last_change, length / last, epsilon):
                 break
         if p >= cap:
             break
-        next_solve = min(p + _CHECKPOINT_PASSES, cap)
+        depth = _next_checkpoint(p, cap)
+        last, length = length, depth - p
+        p, ritz, fact = walk.send((depth, _next_checkpoint(depth, cap)))
     return _outcome("adaptive_truncated", A, b, x, int(k), p, started)
 
 

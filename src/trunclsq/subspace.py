@@ -5,74 +5,62 @@ The iteration draws an n-by-l Gaussian sketch S, oversampled to
 ``Y = A S``, replacing Y by an orthonormal basis of its span after the
 first pass and then only when the spread and drift the last QR read call
 for it (Halko, Martinsson & Tropp 2011, arXiv:0909.4061, Alg. 4.4).  One
-walk serves every depth.  On a square or wide A whose block is not too
-spread for G's rounding, passes run as ``Y <- G Y`` on ``G = A A^T`` once
-G pays for itself: once the passes left to a known depth repay it, or,
-when the depth is unknown, once the two-product passes already run would
-have.  Toward a known depth the walk also climbs to the rungs
-``G^2, G^4, ...``, each squared from the one before, while the steps a
-rung saves repay its m^3 flops and one step on it stays within G's
-rounding gate; a step on ``G^(2^j)`` runs ``2^j`` passes.
+walk serves every depth, and it knows how far it goes: on a square or wide
+A whose block is not too spread for G's rounding, passes run as
+``Y <- G Y`` on ``G = A A^T`` once the passes it will serve repay it, and
+the walk climbs to the rungs ``G^2, G^4, ...``, each squared from the one
+before, while the steps a rung saves repay its m^3 flops and one step on it
+stays within G's rounding gate; a step on ``G^(2^j)`` runs ``2^j`` passes.
 :func:`power_product` takes the walk's last iterate at a given depth;
-:func:`power_iterates` hands it, one pass a step, to callers that decide
-the depth while iterating.  A spread reading runs low while the block is
-still turning, so every walk plans each interval between QRs to two thirds
-of the spread limit.  The spread is read per pass and the drift per step:
-a step on a rung, which is scaled to a trace below one, shrinks the block
-by about the same factor whatever its ``2^j``.
+:func:`ritz_checkpoints` runs it in segments to depths its caller picks
+while iterating, each segment resuming from the orthonormal basis the last
+checkpoint took, on the rungs earlier segments formed.  A spread reading
+runs low while the block is still turning, so every walk plans each
+interval between QRs to two thirds of the spread limit.  The spread is read
+per pass and the drift per step: a step on a rung, which is scaled to a
+trace below one, shrinks the block by about the same factor whatever its
+``2^j``.
 
 The loop needs only the block's span, so every QR after the walk's first
-is a Cholesky QR of the block's l-by-l Gram, which took 78-120 us on a
-float32 block where numpy's Householder QR took 98-262 us (l = 24,
-m = 100..500, one thread); it keeps the span while the block's condition number kappa has
-``kappa^2 u < 1`` (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto 2014), and
-the schedule keeps kappa within the spread limit of 1e6.  The first QR
-stays Householder, since no reading bounds its block, and so does any QR
-the schedule could not keep within that limit or whose Cholesky fails.
+is a Cholesky QR of the block's l-by-l Gram (78-120 us on a float32 block
+where Householder took 98-262 us, l = 24, m = 100..500, one thread), within
+the spread limit that keeps it exact enough.  The first QR, every
+checkpoint's and any the schedule could not keep within that limit stay
+Householder.
 
-Toward a known depth a walk may also run its ladder in float32, whose
-syrk and gemm OpenBLAS runs in 41-67 % of the float64 time: G is formed
-from a float32 copy of A scaled by a power of two, and its squares and the
-steps on them run in float32 under float32's own spread, drift and Gram
-limits.  Everything else stays float64: ``A S``, the two-product passes,
-every walk without a depth, the terminal QR, the Ritz step and the apply.
-The walk does so only where the caller asks for it, where float32's
-tighter Gram limit costs float64's ladder plan no rung, and where the flops
-float32 halves outweigh a measured count of the QRs it adds.
-:func:`approx_truncated_svd` asks for it, then keeps the float32 answer
-only where its own Ritz residual shows that the sketch's error dwarfs
-float32's rounding; on the paper's problems (n = 200..500, gap 0.99) x
-moved about 2e-7 to 5e-7 relative from the float64 walk's.  Every call
+A walk may also run its ladder in float32, whose syrk and gemm OpenBLAS
+runs in 41-67 % of the float64 time, under float32's own spread, drift and
+Gram limits; ``A S``, the two-product passes, the QRs of checkpoints and
+of the range finder, the Ritz step and the apply stay float64.  It does so
+only where the caller asks, where float32's tighter Gram limit costs
+float64's ladder plan no rung, and where the flops float32 halves outweigh
+a measured count of the QRs it adds.  :func:`approx_truncated_svd` asks,
+then keeps the float32 answer only where its own Ritz residual shows that
+the sketch's error dwarfs float32's rounding; on the paper's problems
+(n = 200..500, gap 0.99) x moved about 2e-7 to 5e-7 relative.  Every call
 with default arguments stays in float64,
 :func:`trunclsq.bounds.subspace_capture_bound` among them, whose
 exact-arithmetic bound float32 rounding would break.
 
 The walk carries the l-by-m row block ``Y^T``: a pass runs as
-``(Y^T A) A^T`` and a step as ``Y^T G^(2^j)``, and it hands out the m-by-l
-view ``Y``.  Each rung is symmetric, so the step is the same product.  With
-one OpenBLAS thread these row-block products measured 10-30 % faster than
-``A (A^T Y)`` and ``G Y`` for m from 300 to 500, and up to 17 % slower at
-m = 200; the walk takes the row block at every size.
+``(Y^T A) A^T`` and a step as ``Y^T G^(2^j)``, 10-30 % faster than
+``A (A^T Y)`` and ``G Y`` at m = 300..500 on one OpenBLAS thread.
 
-The fixed-depth range finder orthonormalizes the p-th iterate to the m-by-l
-basis ``Q`` with one QR at the end, which completes a rank-deficient iterate
-with orthonormal columns.  One Ritz step, :func:`ritz_factorization`, turns
-any such basis into a rank-k factorization (Alg. 5.1): the thin SVD of the
+The range finder orthonormalizes the p-th iterate to the m-by-l basis
+``Q`` with one QR at the end, which completes a rank-deficient iterate with
+orthonormal columns.  One Ritz step, :func:`ritz_factorization`, turns any
+such basis into a rank-k factorization (Alg. 5.1): the thin SVD of the
 small l-by-n cross product ``Q^T A``, whose k leading triples, lifted by Q,
-are the rank-k truncation of the projected matrix ``Q Q^T A``;
-:func:`trunclsq.linalg.thin_svd` factors it as ``(Q^T A)^T``, the shape
-LAPACK's gesdd measured faster at on OpenBLAS.  The Ritz step takes its
-triples through :func:`trunclsq.linalg.leading_factors`, so fewer than k
+are the rank-k truncation of the projected matrix ``Q Q^T A``.  It takes
+them through :func:`trunclsq.linalg.leading_factors`, so fewer than k
 numerically nonzero singular values raise :class:`InvalidTruncation`, as in
-the exact solve.  The m-by-n projection itself is never materialized.
-Callers of :func:`power_iterates` finish with the same Ritz step.
+the exact solve.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from collections.abc import Iterator
+from collections.abc import Generator
 
 import numpy as np
 
@@ -93,7 +81,7 @@ __all__ = [
     "power_basis",
     "ritz_factorization",
     "approx_truncated_svd",
-    "power_iterates",
+    "ritz_checkpoints",
 ]
 
 # Sketch columns drawn beyond k.  The error left in the top-k subspace after
@@ -133,10 +121,9 @@ _FLOAT64 = _Limits(spread=1e6, drift=1e100, gram=1e4)
 
 # The same limits for steps on a float32 ladder, whose rounding unit is
 # 6e-8 where float64's is 1.1e-16.  A spread of 1e4 leaves the weakest
-# direction three float32 digits above the rounding of the strongest.  A
-# limit of 1e3, four digits, took 6 or 7 float32 QRs on the paper's n = 300
-# problems where 1e4 takes 4, and moved x by 1.8e-7 to 3.7e-7 relative
-# where 1e4 moves it by 1.9e-7 to 4.8e-7.  The Gram limit 1e2 lets G's
+# direction three float32 digits above the rounding of the strongest, and
+# moved x no further than 1e3 did on the paper's n = 300 problems, for 4
+# QRs where 1e3 took 6 or 7.  The Gram limit 1e2 lets G's
 # float32 rounding reach the l-th direction at about 1e2 * 6e-8 = 6e-6
 # relative, as float64's 1e4 does at 1e-12.  Every float32 interval starts
 # from an orthonormal block and every rung is scaled to a trace below one,
@@ -155,7 +142,8 @@ _FLOAT32 = _Limits(spread=1e4, drift=1e15, gram=1e2)
 # 1e6, the worst by a factor of 99.  Every walk therefore plans each
 # interval to two thirds of the spread limit, which no QR after the first
 # has read past on those walks, on the hard-spectrum walks, on 400
-# certificate-sized ones or on 18 adaptive solves of paper problems.
+# certificate-sized ones or on 80 adaptive solves of paper problems, whose
+# float32 QRs stayed 1.2 nats or more inside float32's limit.
 _PLANNING_MARGIN = 1.5
 
 # The first float32 interval is planned on the float64 reading taken after
@@ -194,13 +182,10 @@ _FLOAT32_QRS = 6
 # ||A v_k - theta_k u_k|| / theta_k reads at least this floor.  On
 # synthetic_problem(n, 20, gamma, 0.2) for n = 200..500, gamma = 0.5..0.99
 # and depth ceil(10 ln n) or half of it, float32 moved x by 5e-8 to 5e-7
-# relative; where float64's x was within 2e-7 of the exact one, the
-# residual read 2e-7 to 7e-7, and everywhere else the solution error read at
-# least 1.6 times the residual, so the move stayed below 1 % of the error
-# the sketch leaves.  On 600 random problems (m = 150..420, k = 1..39, gaps
-# 0.9..0.999, scales 2^-500..2^500, some with a zero tail) 295 walks ran in
-# float32, 52 of them fell back, and in the 243 kept the move reached at
-# most 3.2 % of that error.
+# relative, and where the residual read above the floor the solution error
+# read at least 1.6 times it.  On 600 random problems (m = 150..420, gaps
+# 0.9..0.999, scales 2^-500..2^500) the 243 float32 walks kept moved x by
+# at most 3.2 % of the error the sketch leaves.
 _RESIDUAL_FLOOR = 1e-5
 
 
@@ -251,14 +236,12 @@ def _orthonormalize(Yt: np.ndarray, passes: float, steps: float,
     With ``cholesky`` it takes a Cholesky QR: ``L = cholesky(Y^T Y)`` of the
     l-by-l Gram, formed in float64 whatever the block's precision, and the
     block ``inv(L) Y^T`` cast back to it; ``diag L`` is ``|diag R|`` in exact
-    arithmetic.  It keeps the span of the block while ``kappa^2 u < 1``
-    (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto 2014), which the float64
-    spread limit holds at ``kappa^2 u`` about 1e-4; the walk needs no more,
-    since the next step only has to start from the block's span.  The Gram
-    needs no prescale: a block within the float64 drift limit of 1e100 has
-    a Gram within 1e+-200.  A Cholesky that fails, or whose ``diag L`` reads
-    past either float64 limit, falls back to numpy's Householder QR, which
-    every other call takes."""
+    arithmetic.  It keeps the block's span, all the walk needs, while
+    ``kappa^2 u < 1`` (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto 2014),
+    which the float64 spread limit holds at about 1e-4; a block within the
+    drift limit of 1e100 has a Gram within 1e+-200.  A Cholesky that fails,
+    or whose ``diag L`` reads past either float64 limit, falls back to
+    numpy's Householder QR, which every other call takes."""
     if cholesky:
         B = Yt.astype(np.float64, copy=False)
         try:
@@ -275,127 +258,127 @@ def _orthonormalize(Yt: np.ndarray, passes: float, steps: float,
     return Q.T, spread / passes, drift / steps
 
 
-def _climbs(A: np.ndarray, width: int, level: int, spread: float, run: int,
-            depth: int | None, limits: _Limits) -> bool:
-    """Whether a walk on rung ``level`` (-1 before G) that has run ``run``
-    passes toward ``depth`` (None when unknown) forms the next rung
-    ``G^(2^j)``, j = level + 1.
+class _Ladder:
+    """What a walk on A carries from one segment to the next: the rungs
+    ``G^(2^j)``, which depend only on A, the limits, source and margin of
+    their precision, and its last QR's reading.  A one-segment walk keeps
+    only the rung it stands on (``keep=False``)."""
 
-    One step of ``2^j`` passes must spread the block by at most the Gram
-    limit of ``limits`` at the per-pass log ``spread`` the last QR read, and
-    the passes the rung saves must repay it.  G saves ``2 m l (2n - m)``
-    flops a pass and costs ``m^2 n``: it is repaid by the passes left to a
-    known depth, or else by the two-product passes already run, so that a
-    deep walk pays for G at most twice what the best schedule pays.  A
-    higher rung saves one ``2 m^2 l`` step in every ``2^j`` passes left and
-    costs ``m^3``; it is climbed only toward a known depth, where a step of
-    ``2^j`` passes lands on it.  A tall A climbs no rung: its G would be
-    larger than A."""
+    __slots__ = ("rungs", "keep", "limits", "source", "margin", "spread", "drift", "readable")
+
+    def __init__(self, A: np.ndarray, keep: bool) -> None:
+        self.rungs: list[np.ndarray | None] = []
+        self.keep = keep
+        self.limits, self.source, self.margin = _FLOAT64, A, _PLANNING_MARGIN
+        self.spread, self.drift, self.readable = math.inf, 0.0, False
+
+
+def _climbs(A: np.ndarray, width: int, j: int, spread: float, left: int, beyond: int,
+            limits: _Limits, formed: bool) -> bool:
+    """Whether a walk with ``left`` passes to go steps up to the rung
+    ``G^(2^j)`` (j = 0 is ``G = A A^T``), its ladder to serve ``beyond``
+    passes more after them.
+
+    One step of ``2^j`` passes must land within the passes left and spread
+    the block by at most the Gram limit of ``limits`` at the per-pass log
+    ``spread`` the last QR read, and a rung not yet ``formed`` must be
+    repaid by the passes it serves: G saves ``2 m l (2n - m)`` flops a pass
+    for its ``m^2 n``, a higher rung one ``2 m^2 l`` step in every ``2^j``
+    passes for its ``m^3``.  A tall A climbs no rung: its G would be larger."""
     m, n = A.shape
-    j = level + 1
-    if m > n or spread * (1 << j) > limits.gram:
+    if m > n or spread * (1 << j) > limits.gram or left % (1 << j):
         return False
+    if formed:
+        return True
+    served = left + beyond
     if j == 0:
-        return (run if depth is None else depth - run) * 2 * width * (2 * n - m) >= m * n
-    if depth is None:
-        return False
-    left = depth - run
-    return not left % (1 << j) and (left >> j) * 2 * width >= m
+        return served * 2 * width * (2 * n - m) >= m * n
+    return (served >> j) * 2 * width >= m
 
 
-def _float32_pays(A: np.ndarray, width: int, spread: float, run: int, depth: int) -> bool:
-    """Whether a walk about to form G toward ``depth`` forms its ladder in
-    float32.  The walk plans float64's ladder: the highest rung ``top`` that
-    :func:`_climbs` reaches under float64's Gram limit with the passes left,
-    were every bit of them set.  float32's Gram limit must admit that rung,
-    and so every rung below it, since the repay test is the same in both
-    precisions: a spread too wide for that would cost the ladder rungs, and
-    it converges so fast that approx_truncated_svd would likely run the walk
-    again in float64 (gap 0.5 at n = 300 did, at twice the time).  And half
-    the ladder's flops, G's ``m^2 n``, ``m^3`` a squaring and ``2 m^2 l`` a
-    step, must outweigh ``_FLOAT32_QRS`` QRs at ``_QR_FLOPS`` each."""
+def _float32_pays(A: np.ndarray, width: int, spread: float, left: int) -> bool:
+    """Whether a walk about to form G for a ladder that serves ``left``
+    passes forms it in float32.  The walk plans float64's ladder: the
+    highest rung ``top`` that :func:`_climbs` reaches under float64's Gram
+    limit with those passes, were every bit of them set.  float32's Gram
+    limit must admit that rung, and so every rung below it: a spread too
+    wide for that would cost the ladder rungs, and converges so fast that
+    approx_truncated_svd would likely run the walk again in float64.  And
+    half the ladder's flops, G's ``m^2 n``, ``m^3`` a squaring and
+    ``2 m^2 l`` a step, must outweigh ``_FLOAT32_QRS`` QRs at ``_QR_FLOPS``
+    each."""
     m, n = A.shape
-    left, top = depth - run, 0
+    top = 0
     while spread * (2 << top) <= _FLOAT64.gram and (left >> (top + 1)) * 2 * width >= m:
         top += 1
-    if not _climbs(A, width, -1, spread * (1 << top), run, depth, _FLOAT32):
+    if not _climbs(A, width, 0, spread * (1 << top), left, 0, _FLOAT32, False):
         return False
     ladder = m * m * n + top * m**3 + 2 * m * m * width * (left >> top)
     return ladder >= 2 * _FLOAT32_QRS * (_QR_FLOPS[0] + _QR_FLOPS[1] * m * width**2)
 
 
-def _walk(A: np.ndarray, S: np.ndarray, depth: int | None = None, *,
-          dtype: type = np.float64) -> Iterator[np.ndarray]:
-    """The subspace iteration on ``A S``: yields ``Y = A S``, then the
-    iterate after every step, whose columns span ``(A A^T)^p A S`` after p
-    passes, up to ``depth`` passes or, when it is None, one pass a step
-    without end.  It works on the row block ``Y^T`` and yields its
-    transpose, a view.
+def _walk(A: np.ndarray, Yt: np.ndarray, depth: int, ladder: _Ladder, *, passes: float = 0.0,
+          beyond: int = 0, float32: bool = False, QtA: np.ndarray | None = None) -> np.ndarray:
+    """The row block ``Y^T`` after ``depth`` more passes, spanning
+    ``(A A^T)^depth Y``.  ``passes`` counts what the block ran since it was
+    orthonormal: 0.5 for ``A S``, which scales by ``sigma`` where a pass
+    scales by ``sigma^2``.  ``ladder`` holds what earlier segments on A left,
+    keeps what this one adds, and is planned to serve ``beyond`` more passes.
 
-    A step is a two-product pass ``Y^T <- (Y^T A) A^T`` until
-    :func:`_climbs` forms a rung; on the rung ``G^(2^j)`` it runs ``2^j``
-    passes as one l-by-m-by-m product ``Y^T G^(2^j)``.  Toward a known
-    depth the walk lands on it in binary-exponentiation order: a rung below
-    the top takes a step only where the passes left have bit j set, and each
-    rung replaces the one it was squared from, so at most two m-by-m
-    matrices are alive.  Y goes through a QR after pass 1, and after that
-    before any step that could exceed the spread or drift limit, at the
-    spread per pass ``ln(max/min |R_ii|)`` and the drift per step
-    ``max |ln |R_ii||`` that the last QR read, the spread counted by the
-    planning margin; the walk re-plans its climb after every QR.  ``A S``
-    counts as half a pass and half a step, since it scales by ``sigma``
-    where a pass scales by ``sigma^2``: the first QR reads ``A A^T A S`` as
-    one and a half.  A reading speaks for one kind of step, so a walk about
-    to form G after a two-product pass takes a QR first, and until a QR
-    reads steps on a rung it plans their drift on the bound the trace
-    scaling gives: a rung's largest eigenvalue is at least ``1/(2m)``, so a
-    step on it shrinks the block's strongest column by at most a factor of
-    ``2m``, and its weakest by that and the step's spread.
-
-    The walk's first QR is Householder; every later one, where its interval
-    was planned within the float64 spread and drift limits, is a Cholesky QR
-    (:func:`_orthonormalize`), which falls back to Householder where it
-    fails.
-
-    With ``dtype=np.float32`` and a known depth, a walk about to form G
-    forms its ladder in float32 where :func:`_float32_pays`: G from a
-    float32 copy of A, then its squares and the steps on them, planned under
-    ``_FLOAT32``; its iterates from then on are float32.  Its first float32
-    interval is planned on a float64 reading, at ``_FIRST_FLOAT32_MARGIN``."""
-    width, shrink = S.shape[1], math.log(2 * A.shape[0])
-    Yt = S.T @ A.T
-    yield Yt.T
-    limits, source, margin = _FLOAT64, A, _PLANNING_MARGIN
-    run, passes, steps, spread, drift = 0, 0.5, 0.5, math.inf, 0.0
-    level, rung = -1, None
-    while depth is None or run < depth:
-        opens = False  # G opens an interval of its own
-        while _climbs(A, width, level, spread, run, depth, limits):
-            if rung is None:
-                opens = passes >= 1
-                if opens:
-                    break
-                drift = None  # read on two-product passes, not on rung steps
-            rung = _rung(source if rung is None else rung)
+    A step is a two-product pass ``Y^T <- (Y^T A) A^T``, its first product
+    ``QtA`` where the caller has it, until :func:`_climbs` steps up to G; on
+    ``G^(2^j)`` it runs ``2^j`` passes as one product ``Y^T G^(2^j)``.  A
+    segment starts on G where G is formed and lands on its depth in
+    binary-exponentiation order: a rung below the top takes a step only
+    where the passes left have bit j set.  Y goes through a QR after its
+    first full pass while no QR has read it, and after that before any step
+    that could exceed the spread or drift limit, at the spread per pass
+    ``ln(max/min |R_ii|)`` and drift per step ``max |ln |R_ii||`` the last
+    QR read, the spread counted by the planning margin; the walk re-plans
+    its climb after every QR.  The passes left only fall between QRs, so G
+    is formed right after one or at the segment's start, and no reading
+    mixes two-product passes with steps on a rung.  Until a QR reads such
+    steps their drift is planned on the bound trace scaling gives: a rung's
+    largest eigenvalue is at least ``1/(2m)``, so a step shrinks the
+    strongest column by at most ``2m``, the weakest by that and its spread.
+    The first QR is Householder; every later one planned within the float64
+    limits is a Cholesky QR (:func:`_orthonormalize`).  With ``float32``, G
+    and the ladder are formed in float32 where :func:`_float32_pays` and
+    planned under ``_FLOAT32``, the first interval at ``_FIRST_FLOAT32_MARGIN``
+    on its float64 reading."""
+    width, shrink = Yt.shape[0], math.log(2 * A.shape[0])
+    steps, run, level = passes, 0, min(len(ladder.rungs), 1) - 1
+    while run < depth:
+        left = depth - run
+        while _climbs(A, width, level + 1, ladder.spread, left, beyond, ladder.limits,
+                      level + 1 < len(ladder.rungs)):
+            if not ladder.rungs:
+                served = left + beyond
+                if float32 and ladder.readable and _float32_pays(A, width, ladder.spread, served):
+                    ladder.limits, ladder.source = _FLOAT32, _float32_copy(A)
+                    ladder.margin = _FIRST_FLOAT32_MARGIN
+                ladder.drift = None  # read on two-product passes, not on rung steps
+            if level + 1 == len(ladder.rungs):
+                ladder.rungs.append(_rung(ladder.source if level < 0 else ladder.rungs[level]))
+                if level >= 0 and not ladder.keep:
+                    ladder.rungs[level] = None
             level += 1
         step = 1 << max(level, 0)
-        per_step = shrink + step * spread if drift is None else drift
-        if opens or passes >= 1 and ((passes + step) * margin * spread > limits.spread
-                                     or (steps + 1) * per_step > limits.drift):
-            cholesky = (passes * margin * spread <= _FLOAT64.spread
+        per_step = shrink + step * ladder.spread if ladder.drift is None else ladder.drift
+        if passes >= 1 and ((passes + step) * ladder.margin * ladder.spread > ladder.limits.spread
+                            or (steps + 1) * per_step > ladder.limits.drift):
+            cholesky = (passes * ladder.margin * ladder.spread <= _FLOAT64.spread
                         and steps * per_step <= _FLOAT64.drift)
-            Yt, spread, drift = _orthonormalize(Yt, passes, steps, cholesky)
-            readable = drift * steps < _FLOAT64_EDGE
-            passes, steps, margin = 0, 0, _PLANNING_MARGIN
-            if (rung is None and dtype == np.float32 and depth is not None and readable
-                    and _float32_pays(A, width, spread, run, depth)):
-                limits, source, margin = _FLOAT32, _float32_copy(A), _FIRST_FLOAT32_MARGIN
+            Yt, ladder.spread, ladder.drift = _orthonormalize(Yt, passes, steps, cholesky)
+            ladder.readable = ladder.drift * steps < _FLOAT64_EDGE
+            passes, steps, ladder.margin = 0, 0, _PLANNING_MARGIN
             continue
-        Yt = (Yt @ A) @ A.T if rung is None else Yt.astype(rung.dtype, copy=False) @ rung
-        run += step
-        passes += step
-        steps += 1
-        yield Yt.T
+        if level < 0:
+            Yt, QtA = (Yt @ A if QtA is None else QtA) @ A.T, None
+        else:
+            Yt = Yt.astype(ladder.rungs[level].dtype, copy=False) @ ladder.rungs[level]
+        run, passes, steps = run + step, passes + step, steps + 1
+    return Yt
 
 
 def power_product(A: np.ndarray, S: np.ndarray, p: int, *, dtype: type = np.float64) -> np.ndarray:
@@ -416,7 +399,8 @@ def power_product(A: np.ndarray, S: np.ndarray, p: int, *, dtype: type = np.floa
     dtype = np.dtype(dtype)
     if dtype not in (np.float64, np.float32):
         raise ValueError(f"the walk rounds at float64 or float32, got {dtype}")
-    return deque(_walk(A, S, p, dtype=dtype), maxlen=1)[0]
+    return _walk(A, S.T @ A.T, p, _Ladder(A, keep=False), passes=0.5,
+                 float32=dtype == np.float32).T
 
 
 def power_basis_from_sketch(A: np.ndarray, S: np.ndarray, p: int, *,
@@ -446,9 +430,8 @@ def power_basis(A: np.ndarray, k: int, p: int, seed: RngSeed, *,
     return power_basis_from_sketch(A, S, p, dtype=dtype)
 
 
-def ritz_factorization(
-    A: np.ndarray, Q: np.ndarray, k: int
-) -> tuple[ThinSVD, TruncatedFactorization]:
+def ritz_factorization(A: np.ndarray, Q: np.ndarray,
+                       k: int) -> tuple[ThinSVD, TruncatedFactorization]:
     """The Ritz step on an orthonormal basis ``Q`` of ``A``'s sketched range.
 
     Returns the thin SVD of the cross product ``Q^T A`` and its k leading
@@ -457,11 +440,14 @@ def ritz_factorization(
     truncation of the projected matrix ``Q Q^T A``.  A cross product of
     numerical rank below k raises :class:`InvalidTruncation`.
     """
-    ritz = thin_svd(Q.T @ A)
+    return _ritz_step(Q, Q.T @ A, k)
+
+
+def _ritz_step(Q: np.ndarray, QtA: np.ndarray, k: int) -> tuple[ThinSVD, TruncatedFactorization]:
+    ritz = thin_svd(QtA)
     head = leading_factors(ritz, k)
-    return ritz, TruncatedFactorization(
-        U=Q @ head.U, sigma=head.sigma, V=head.V, k=head.k, kind="approximate"
-    )
+    return ritz, TruncatedFactorization(U=Q @ head.U, sigma=head.sigma, V=head.V, k=head.k,
+                                        kind="approximate")
 
 
 def approx_truncated_svd(A: np.ndarray, k: int, p: int, seed: RngSeed) -> TruncatedFactorization:
@@ -472,13 +458,11 @@ def approx_truncated_svd(A: np.ndarray, k: int, p: int, seed: RngSeed) -> Trunca
     ``Q Q^T A`` to working precision; a cross product of numerical rank below
     k raises :class:`InvalidTruncation`.
 
-    The basis is asked for in float32, so the walk may run its Gram ladder
-    in float32, which moves x by float32's rounding: 2e-7 to 5e-7 relative
-    on the paper's problems, up to 4e-6 on flatter spectra.  Where it did, the
-    factorization is kept only if the k-th Ritz pair's relative residual
-    ``||A v_k - sigma_k u_k|| / sigma_k`` reads at least
-    ``_RESIDUAL_FLOOR``, so that the sketch's own error dwarfs that move;
-    below it the walk runs again in float64, whose factorization is returned.
+    The basis is asked for in float32, which moves x by 2e-7 to 5e-7
+    relative on the paper's problems, up to 4e-6 on flatter spectra.  Where
+    the walk ran in float32, the factorization is kept only if the k-th Ritz
+    pair's relative residual ``||A v_k - sigma_k u_k|| / sigma_k`` reads at
+    least ``_RESIDUAL_FLOOR``; below it the walk runs again in float64.
     """
     Q = power_basis(A, k, p, seed, dtype=np.float32)  # validates A
     A = np.asarray(A, dtype=np.float64)
@@ -490,14 +474,28 @@ def approx_truncated_svd(A: np.ndarray, k: int, p: int, seed: RngSeed) -> Trunca
     return fact
 
 
-def power_iterates(A: np.ndarray, k: int, seed: RngSeed) -> Iterator[np.ndarray]:
-    """The iterates of the subspace iteration on the sketch
-    :func:`power_basis` draws, one pass at a time: yields ``Y_p`` for
-    p = 0, 1, 2, ... without end.  The caller decides when to stop by
-    leaving the loop.  The walk does not know its depth, so it climbs no
-    higher than ``G = A A^T``; ``Y_p`` spans what :func:`power_product`
-    gives at depth p on that sketch.
+def ritz_checkpoints(
+    A: np.ndarray, k: int, seed: RngSeed, *, dtype: type = np.float64
+) -> Generator[tuple[int, ThinSVD, TruncatedFactorization], tuple[int, int], None]:
+    """The Ritz step of the subspace iteration on the sketch
+    :func:`power_basis` draws, at depths picked while iterating: yields
+    ``(p, ritz, fact)`` of :func:`ritz_factorization` at p = 0, then at the
+    depth of each ``(depth, plan)`` sent back, ``p < depth <= plan``.
+
+    Each segment resumes from the basis Q the last checkpoint took with a
+    float64 Householder QR, which keeps the span (Alg. 4.4), on the rungs
+    and reading earlier segments left; its first two-product pass reuses
+    the checkpoint's ``Q^T A``.  It plans its Gram ladder, in float32 with
+    ``dtype=np.float32`` where that pays, to serve the passes up to plan.
     """
     A = as_matrix(A, "A")
     k = _check_level(k, *A.shape)
-    return _walk(A, gaussian_matrix(A.shape[1], _sketch_width(A, k), seed))
+    S = gaussian_matrix(A.shape[1], _sketch_width(A, k), seed)
+    ladder, float32 = _Ladder(A, keep=True), np.dtype(dtype) == np.float32
+    Yt, p = S.T @ A.T, 0
+    while True:
+        Q = np.linalg.qr(Yt.T.astype(np.float64, copy=False))[0]
+        QtA = Q.T @ A
+        depth, plan = yield (p, *_ritz_step(Q, QtA, k))
+        Yt = _walk(A, Q.T, depth - p, ladder, beyond=plan - depth, float32=float32, QtA=QtA)
+        p = depth

@@ -1,9 +1,9 @@
 """The adaptive randomized solve behind ``trunclsq solve --epsilon --delta``.
 
 adaptive_truncated_solve runs orthonormalized subspace iteration on the
-sketch approx_truncated_solve draws, re-solves every few passes, and stops
-once x has settled to the (epsilon, 4/3 epsilon) target or the paper's depth
-rule, evaluated on the current Ritz values, is reached.
+sketch approx_truncated_solve draws, re-solves at checkpoints whose depths
+double, and stops once x has settled to the (epsilon, 4/3 epsilon) target or
+the paper's depth rule, evaluated on the current Ritz values, is reached.
 """
 
 import subprocess
@@ -64,6 +64,22 @@ def test_settles_far_below_the_worst_case_depth():
     approx = adaptive_truncated_solve(problem.A, problem.b, 10, epsilon, delta, RngSeed(22))
     assert approx.p <= choose_power_depth(epsilon, delta, problem.gap_profile) / 4
     assert relative_error(approx.x, exact.x) <= (4.0 / 3.0) * epsilon
+
+
+def test_meets_the_solution_target_within_the_cap_on_every_seed():
+    # Checkpoints double in depth, so the stop rule extrapolates what is to
+    # come from the last two changes at the rate per doubling; on 24
+    # (problem, sketch) pairs across sizes and gaps every stop is within
+    # the (4/3) epsilon solution-error target and the paper's depth.
+    epsilon, delta = 0.05, 0.1
+    for trial in range(24):
+        n, gamma = (60, 100, 200, 300)[trial % 4], (0.9, 0.95, 0.99)[trial % 3]
+        problem = synthetic_problem(n, 10, gamma, 0.2, RngSeed(30, trial))
+        exact = exact_truncated_solve(problem.A, problem.b, 10)
+        approx = adaptive_truncated_solve(problem.A, problem.b, 10, epsilon, delta,
+                                          RngSeed(31, trial))
+        assert relative_error(approx.x, exact.x) <= (4.0 / 3.0) * epsilon, trial
+        assert approx.p <= choose_power_depth(epsilon, delta, problem.gap_profile), trial
 
 
 @pytest.mark.parametrize("stream", range(3))
@@ -155,8 +171,9 @@ def test_stops_on_the_fixed_depth_solution(trial):
 
 
 def test_stops_on_the_fixed_depth_solution_on_a_tall_matrix():
-    # A tall A climbs no rung, and both walks plan their QRs to the same
-    # margin, so they take the same passes and QRs.
+    # A tall A climbs no rung, so both walks take the same two-product
+    # passes; the adaptive walk's checkpoints take QRs that the fixed walk
+    # does not, which moves x in the last digits only.
     rng = np.random.default_rng(72)
     sigma = np.concatenate([np.linspace(2.0, 1.0, 4), 0.9 * np.linspace(1.0, 0.1, 36)])
     A = (random_orthonormal(rng, 90, 40) * sigma) @ random_orthonormal(rng, 40, 40).T
@@ -164,16 +181,17 @@ def test_stops_on_the_fixed_depth_solution_on_a_tall_matrix():
     approx = adaptive_truncated_solve(A, b, 4, 0.01, 0.1, RngSeed(73))
     fixed = approx_truncated_solve(A, b, 4, approx.p, RngSeed(73))
     assert approx.p >= 10
-    assert approx.x.tobytes() == fixed.x.tobytes()
+    assert relative_error(approx.x, fixed.x) <= 1e-12
 
 
 def test_stops_on_the_fixed_depth_solution_below_the_sketch_width():
     # Rank 4 < l = 6: the QR completes the basis to R^6 on both paths, so
-    # both solve on the one sketch and give exact's x.
+    # both solve on the one sketch and give exact's x; the adaptive walk's
+    # checkpoint QRs move it in the last digits only.
     A, b = np.diag([4.0, 3.0, 2.0, 1.0, 0.0, 0.0]), np.arange(1.0, 7.0)
     approx = adaptive_truncated_solve(A, b, 2, 0.05, 0.1, RngSeed(67))
     fixed = approx_truncated_solve(A, b, 2, approx.p, RngSeed(67))
-    assert approx.x.tobytes() == fixed.x.tobytes()
+    assert relative_error(approx.x, fixed.x) <= 1e-12
     exact = exact_truncated_solve(A, b, 2).x
     np.testing.assert_allclose(approx.x, exact, rtol=0.0, atol=1e-12)
 

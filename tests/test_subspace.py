@@ -3,7 +3,6 @@
 import importlib.util
 import math
 import sys
-from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -250,7 +249,7 @@ def instrument_qrs(monkeypatch):
         excess = max(logs.max() - logs.min() - limits.spread, np.abs(logs).max() - limits.drift)
         before = householder[0]
         result = real(Yt, passes, steps, cholesky)
-        record.append(SimpleNamespace(passes=passes, excess=excess,
+        record.append(SimpleNamespace(passes=passes, excess=excess, dtype=Yt.dtype,
                                       householder=householder[0] > before))
         return result
 
@@ -352,10 +351,12 @@ class TestQRSchedule:
         assert later >= 50
 
     def test_adaptive_walks_stay_within_the_limit(self, qr_walk):
-        # The walk without a depth plans to the same margin; it takes a QR
-        # before its first step on G, so that the drift it reads on G's
-        # steps is not diluted by two-product passes.
+        # The segmented walk plans to the same margin and carries its
+        # reading across checkpoints; at epsilon = 0.05 its segments run
+        # their ladder in float32 from n = 300 on, whose QRs read at least
+        # 1.2 nats inside float32's limit on the benchmark's seeds 1 to 5.
         inputs = perfbench_inputs()
+        float32 = 0
         for seed in range(1, 4):
             for n in (100, 300, 500):
                 rng = inputs.rng_for(seed, inputs.TAG_PAPER_SWEEP, n, 0)
@@ -365,6 +366,9 @@ class TestQRSchedule:
                                   RngSeed(int(sketch_seed)))
                     assert checked(qrs) >= 1, (seed, n)
                     assert overshoots(qrs) == [], (seed, n)
+                    float32 += sum(qr.passes > 1 for qr in qrs[1:] if qr.dtype == np.float32)
+        # 29 such QRs on these 18 solves.
+        assert float32 >= 20
 
 
 class TestCholeskyQR:
@@ -428,9 +432,10 @@ class TestFloat32Ladder:
         monkeypatch.setattr(subspace_module, "_float32_copy", refuse)
         assert power_product(A, S, p).tobytes() == product.tobytes()
         assert power_basis_from_sketch(A, S, p).tobytes() == basis.tobytes()
-        iterates = list(islice(subspace_module.power_iterates(A, 20, seed), p + 1))
-        assert all(Y.dtype == np.float64 for Y in iterates)
-        assert adaptive_truncated_solve(A, b, 20, 0.05, 0.1, seed).x.dtype == np.float64
+        checkpoint_walk(A, 20, seed, [16, 32, p])
+        # The adaptive solve asks for float32 only at an epsilon whose target
+        # dwarfs float32's rounding.
+        assert adaptive_truncated_solve(A, b, 20, 1e-4, 0.1, seed).x.dtype == np.float64
 
     def test_underflowed_first_reading_keeps_float64(self):
         # Scaled by 2^-500, A S and the first pass underflow to zero and read
@@ -502,40 +507,84 @@ class TestFloat32Ladder:
         assert x.tobytes() == solve_factored(fact, b).tobytes()
 
 
-class TestPowerIterates:
+def checkpoint_walk(A, k, seed, depths, **kwargs):
+    """The Ritz steps of :func:`ritz_checkpoints` at depth 0 and at each of
+    ``depths``, each segment planning its ladder on the next depth."""
+    walk = subspace_module.ritz_checkpoints(A, k, seed, **kwargs)
+    steps = [next(walk)]
+    for depth, plan in zip(depths, [*depths[1:], depths[-1]]):
+        steps.append(walk.send((depth, plan)))
+    return steps
+
+
+class TestRitzCheckpoints:
     @pytest.mark.parametrize("n", [100, 500])
     def test_spans_what_the_fixed_depth_walk_gives(self, ladder, n):
-        # The walk without a depth stops at G; the one toward p forms G, G^2
-        # and G^4 at least, and lands on the same subspace.
+        # The segmented walk forms each rung once, squared from the one
+        # before, and carries it to later segments; at every checkpoint its
+        # Ritz values are the fixed-depth walk's, which depend only on the
+        # span of the basis.
         problem = synthetic_problem(n, 20, 0.99, 0.2, RngSeed(73, n))
-        p, seed = math.ceil(10 * math.log(n)), RngSeed(74, n)
-        Y = next(islice(subspace_module.power_iterates(problem.A, 20, seed), p, None))
-        assert len(ladder.rungs) == 1
-        Z = power_product(problem.A, gaussian_matrix(n, 24, seed), p)
-        assert len(ladder.rungs) >= 4
-        assert projection_distance_oracle(np.linalg.qr(Y)[0], np.linalg.qr(Z)[0]) <= 1e-10
+        A, p, seed = problem.A, math.ceil(10 * math.log(n)), RngSeed(74, n)
+        steps = checkpoint_walk(A, 20, seed, [16, 32, p])
+        assert ladder.sources[0] is A and len(ladder.rungs) >= 3
+        assert all(source is rung for source, rung in zip(ladder.sources[1:], ladder.rungs))
+        S = gaussian_matrix(n, 24, seed)
+        for depth, ritz, _ in steps:
+            fixed = np.linalg.svd(power_basis_from_sketch(A, S, depth).T @ A, compute_uv=False)
+            assert_allclose(ritz.sigma, fixed, rtol=0, atol=1e-10 * fixed[0])
 
-    def test_spans_the_fixed_depth_iterate_on_a_tall_matrix(self):
-        # Both walks take the same two-product passes and plan their QRs to
-        # the same margin, so they give the same iterate.
+    def test_seeds_each_segment_with_the_checkpoints_cross_product(self, monkeypatch):
+        # A tall A climbs no rung, so every segment opens with a two-product
+        # pass, whose first product is the Q^T A its checkpoint's Ritz step
+        # computed; both walks take the same passes.
         A = gaussian_matrix(90, 40, RngSeed(75))
         p, seed = math.ceil(10 * math.log(40)), RngSeed(76)
-        Y = next(islice(subspace_module.power_iterates(A, 5, seed), p, None))
-        Z = power_product(A, gaussian_matrix(40, 9, seed), p)
-        assert Y.tobytes() == Z.tobytes()
+        fixed = np.linalg.svd(power_basis_from_sketch(A, gaussian_matrix(40, 9, seed), p).T @ A,
+                              compute_uv=False)
+        real, seeded = subspace_module._walk, []
 
-    def test_forms_the_gram_matrix_once_the_passes_run_repay_it(self, ladder):
-        # Break-even is 500 / (2 * 24) = 10.4 two-product passes: G is formed
-        # before pass 12, and passes 12..60 are steps on it.
+        def walk(A, Yt, depth, ladder, **kwargs):
+            seeded.append(kwargs["QtA"].tobytes() == (Yt @ A).tobytes())
+            return real(A, Yt, depth, ladder, **kwargs)
+
+        monkeypatch.setattr(subspace_module, "_walk", walk)
+        depth, ritz, _ = checkpoint_walk(A, 5, seed, [16, 32, p])[-1]
+        assert seeded == [True] * 3
+        assert_allclose(ritz.sigma, fixed, rtol=1e-12)
+
+    def test_plans_the_gram_matrix_on_the_next_checkpoint(self, ladder):
+        # Break-even is 500 / (2 * 24) = 10.4 passes.  The segment to 4,
+        # planned to 8, forms no rung; the one to 8, planned to 16, forms G
+        # and steps on it; the one to 16 reuses G and, planned to 32, squares
+        # it once the 12 steps saved on G^2 repay it.
         problem = synthetic_problem(500, 20, 0.99, 0.2, RngSeed(77))
-        walk = subspace_module.power_iterates(problem.A, 20, RngSeed(78))
-        formed = [len(ladder.rungs) for _, _ in zip(range(61), walk)]
-        assert formed.index(1) == 12 and formed[-1] == 1
-        assert ladder.sources[0] is problem.A and ladder.steps == 49
+        walk = subspace_module.ritz_checkpoints(problem.A, 20, RngSeed(78))
+        next(walk)
+        walk.send((4, 8))
+        assert ladder.rungs == []
+        walk.send((8, 16))
+        assert len(ladder.rungs) == 1 and ladder.sources[0] is problem.A and ladder.steps == 4
+        walk.send((16, 32))
+        assert len(ladder.rungs) == 2 and ladder.sources[1] is ladder.rungs[0]
         # A tall matrix forms none.
         tall = gaussian_matrix(120, 100, RngSeed(79))
-        list(islice(subspace_module.power_iterates(tall, 20, RngSeed(80)), 61))
-        assert len(ladder.rungs) == 1
+        checkpoint_walk(tall, 20, RngSeed(80), [16, 32, 61])
+        assert len(ladder.rungs) == 2
+
+    def test_runs_the_ladder_in_float32_only_when_asked(self, ladder):
+        # A walk asked for float32 runs its ladder there where it pays, as
+        # the fixed-depth walk does, and its Ritz values move by float32's
+        # rounding only.
+        problem = synthetic_problem(300, 20, 0.99, 0.2, RngSeed(81))
+        depths = [16, 32, 64]
+        reference = checkpoint_walk(problem.A, 20, RngSeed(82), depths)
+        assert {rung.dtype for rung in ladder.rungs} == {np.dtype(np.float64)}
+        ladder.rungs.clear()
+        steps = checkpoint_walk(problem.A, 20, RngSeed(82), depths, dtype=np.float32)
+        assert {rung.dtype for rung in ladder.rungs} == {np.dtype(np.float32)}
+        for (_, ritz, _), (_, exact, _) in zip(steps, reference):
+            assert_allclose(ritz.sigma, exact.sigma, rtol=0, atol=1e-6 * exact.sigma[0])
 
 
 class TestPowerBasisFromSketch:
