@@ -347,14 +347,14 @@ def _walk(A: np.ndarray, Yt: np.ndarray, depth: int, ladder: _Ladder, *, passes:
     planned under ``_FLOAT32``, the first interval at ``_FIRST_FLOAT32_MARGIN``
     on its float64 reading."""
     width, shrink = Yt.shape[0], math.log(2 * A.shape[0])
-    steps, run, level = passes, 0, min(len(ladder.rungs), 1) - 1
+    steps, run, level = passes, 0, 0 if ladder.rungs else -1
     while run < depth:
         left = depth - run
         while _climbs(A, width, level + 1, ladder.spread, left, beyond, ladder.limits,
                       level + 1 < len(ladder.rungs)):
             if not ladder.rungs:
-                served = left + beyond
-                if float32 and ladder.readable and _float32_pays(A, width, ladder.spread, served):
+                if float32 and ladder.readable and _float32_pays(A, width, ladder.spread,
+                                                                 left + beyond):
                     ladder.limits, ladder.source = _FLOAT32, _float32_copy(A)
                     ladder.margin = _FIRST_FLOAT32_MARGIN
                 ladder.drift = None  # read on two-product passes, not on rung steps
