@@ -196,7 +196,9 @@ def choose_power_depth(epsilon: float, delta: float, profile: GapProfile) -> int
 
 def _require_orthonormal(M: np.ndarray, name: str) -> np.ndarray:
     M = as_matrix(M, name)
-    gram_error = float(np.max(np.abs(M.T @ M - np.eye(M.shape[1]))))
+    gram = M.T @ M
+    gram.flat[:: M.shape[1] + 1] -= 1.0  # M^T M - I
+    gram_error = float(abs(gram).max())
     if gram_error > ORTHONORMALITY_TOLERANCE:
         raise ValueError(
             f"{name} columns are not orthonormal: max |M^T M - I| = {gram_error:.3e}"

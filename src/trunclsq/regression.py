@@ -95,9 +95,9 @@ class SolveOutcome:
 def _outcome(method: str, A: np.ndarray, b: np.ndarray, x: np.ndarray, k: int | None,
              p: int | None, started: float) -> SolveOutcome:
     wall_time = time.perf_counter() - started
-    return SolveOutcome(x=x, residual_norm=float(np.linalg.norm(A @ x - b)),
-                        rhs_norm=float(np.linalg.norm(b)), method=method, k=k, p=p,
-                        wall_time=wall_time)
+    r = A @ x - b  # the norms as numpy.linalg.norm takes them, without its dispatch
+    return SolveOutcome(x=x, residual_norm=math.sqrt(r.dot(r)), rhs_norm=math.sqrt(b.dot(b)),
+                        method=method, k=k, p=p, wall_time=wall_time)
 
 
 def exact_truncated_solve(A: np.ndarray, b: np.ndarray, k: int) -> SolveOutcome:

@@ -284,9 +284,10 @@ def _climbs(A: np.ndarray, width: int, j: int, spread: float, left: int, beyond:
     ``spread`` the last QR read, and a rung not yet ``formed`` must be
     repaid by the passes it serves: G saves ``2 m l (2n - m)`` flops a pass
     for its ``m^2 n``, a higher rung one ``2 m^2 l`` step in every ``2^j``
-    passes for its ``m^3``.  A tall A climbs no rung: its G would be larger."""
+    passes for its ``m^3``.  A is square or wide: :func:`_walk` asks for no
+    rung on a tall A, whose G would be larger."""
     m, n = A.shape
-    if m > n or spread * (1 << j) > limits.gram or left % (1 << j):
+    if spread * (1 << j) > limits.gram or left % (1 << j):
         return False
     if formed:
         return True
@@ -345,13 +346,14 @@ def _walk(A: np.ndarray, Yt: np.ndarray, depth: int, ladder: _Ladder, *, passes:
     limits is a Cholesky QR (:func:`_orthonormalize`).  With ``float32``, G
     and the ladder are formed in float32 where :func:`_float32_pays` and
     planned under ``_FLOAT32``, the first interval at ``_FIRST_FLOAT32_MARGIN``
-    on its float64 reading."""
-    width, shrink = Yt.shape[0], math.log(2 * A.shape[0])
+    on its float64 reading.  A tall A runs two-product passes only: its G
+    would be larger than A, so :func:`_climbs` is not asked."""
+    width, shrink, tall = Yt.shape[0], math.log(2 * A.shape[0]), A.shape[0] > A.shape[1]
     steps, run, level = passes, 0, 0 if ladder.rungs else -1
     while run < depth:
         left = depth - run
-        while _climbs(A, width, level + 1, ladder.spread, left, beyond, ladder.limits,
-                      level + 1 < len(ladder.rungs)):
+        while not tall and _climbs(A, width, level + 1, ladder.spread, left, beyond,
+                                   ladder.limits, level + 1 < len(ladder.rungs)):
             if not ladder.rungs:
                 if float32 and ladder.readable and _float32_pays(A, width, ladder.spread,
                                                                  left + beyond):

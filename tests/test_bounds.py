@@ -163,6 +163,12 @@ class TestProjectionDistance:
             projection_distance(skew, U)
         with pytest.raises(ValueError, match="orthonormal"):
             projection_distance(U, skew)
+        # Unit columns that are not orthogonal: |M^T M - I| peaks off the
+        # diagonal, at cos(1).
+        oblique = np.zeros((4, 2))
+        oblique[:2, 0], oblique[:2, 1] = [1.0, 0.0], [np.cos(1.0), np.sin(1.0)]
+        with pytest.raises(ValueError, match=r"max \|M\^T M - I\| = 5\.403e-01"):
+            projection_distance(U, oblique)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):

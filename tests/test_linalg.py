@@ -26,9 +26,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="2-D"):
             as_matrix(np.ones(3))
 
-    def test_as_matrix_rejects_nan(self):
-        with pytest.raises(ValueError, match="finite"):
-            as_matrix(np.array([[1.0, np.nan]]))
+    @pytest.mark.parametrize("where", [0, 7, -1], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("check, shape", [(as_matrix, (3, 5)), (as_vector, (15,))],
+                             ids=["as_matrix", "as_vector"])
+    def test_rejects_non_finite_entries(self, check, shape, bad, where):
+        values = np.arange(15.0).reshape(shape)
+        values.flat[where] = bad
+        with pytest.raises(ValueError, match="^A must contain only finite values$"):
+            check(values, "A")
 
     def test_as_matrix_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -38,9 +44,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="length"):
             as_vector(np.ones(3), dim=4)
 
-    def test_as_matrix_casts_to_float64(self):
-        M = as_matrix(np.array([[1, 2], [3, 4]]))
-        assert M.dtype == np.float64
+    @pytest.mark.parametrize("check, values", [
+        pytest.param(as_matrix, [[1, 2], [3, 4]], id="as_matrix-list"),
+        pytest.param(as_matrix, np.array([[1, 2], [3, 4]]), id="as_matrix-integer-array"),
+        pytest.param(as_vector, [1, -2, 3], id="as_vector-list"),
+        pytest.param(as_vector, np.array([1, -2, 3], dtype=np.int32), id="as_vector-integer-array"),
+    ])
+    def test_casts_lists_and_integers_to_float64(self, check, values):
+        cast = check(values)
+        assert cast.dtype == np.float64
+        assert np.array_equal(cast, np.array(values, dtype=float))
 
 
 class TestTolerances:
@@ -141,6 +154,25 @@ class TestThinSvd:
         leads = np.argmax(np.abs(F.V), axis=0)
         assert all(F.V[leads[j], j] > 0 for j in range(F.rank))
 
+    @pytest.mark.parametrize("rows, cols, rank", [(9, 6, 6), (6, 6, 6), (6, 9, 6), (9, 7, 3)])
+    def test_matches_the_copy_and_flip_reference(self, rows, cols, rank):
+        # The factors are contiguous copies of LAPACK's, each right singular
+        # vector flipped so that its largest-magnitude entry is positive,
+        # bit for bit.
+        rng = np.random.default_rng(28)
+        M = rank_k_matrix(rng, rows, cols, rank, sigma=np.logspace(0.0, -2.0, rank))
+        wide = rows < cols
+        U, s, Vt = np.linalg.svd(M.T if wide else M, full_matrices=False)
+        U, Vt = (Vt.T, U.T) if wide else (U, Vt)
+        U, s, V = U[:, :rank].copy(), s[:rank].copy(), Vt[:rank].T.copy()
+        signs = np.array([1.0 if V[np.argmax(np.abs(V[:, j])), j] > 0 else -1.0
+                          for j in range(rank)])
+        F = thin_svd(M)
+        assert F.rank == rank
+        assert np.array_equal(F.U, U * signs) and np.array_equal(F.V, V * signs)
+        assert np.array_equal(F.sigma, s)
+        assert F.U.flags.c_contiguous and F.V.flags.c_contiguous
+
     def test_deterministic_bits(self):
         rng = np.random.default_rng(25)
         M = rng.standard_normal((5, 5))
@@ -216,6 +248,13 @@ class TestPseudoInverse:
 class TestSpectralNorm:
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((3, 2))) == 0.0
+
+    def test_is_numpys_two_norm_bit_for_bit(self):
+        rng = np.random.default_rng(42)
+        for _ in range(200):
+            rows, cols = (int(v) for v in rng.integers(1, 40, size=2))
+            M = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-8, 8)
+            assert spectral_norm(M) == float(np.linalg.norm(M, 2))
 
     def test_diagonal(self):
         assert_allclose(spectral_norm(np.diag([3.0, -7.0])), 7.0, rtol=1e-10)
