@@ -5,13 +5,13 @@ Supports the plain-text exchange format for real general matrices:
 * ``load_matrix`` reads either variant into a dense float64 array.  The
   ``array`` variant stores entries in column-major order; ``coordinate``
   entries are densified with duplicates summed in file order, per the
-  format convention.  An ``array`` file whose banner and size line are its
-  first two lines and which holds no comment is parsed in one vectorized
-  pass: numpy's str-to-float cast accepts exactly the tokens ``float()``
-  accepts, so the array is bitwise that of a token-by-token parse.  Every
-  other file -- a ``coordinate`` file, one with comments or blank lines
-  before the size line, one with a fault -- goes through the line-by-line
-  parser, which words each fault.
+  format convention.  An ``array`` file whose banner is its first line,
+  whose size line follows it after blank and comment lines only, and whose
+  body holds no comment is parsed in one vectorized pass: numpy's
+  str-to-float cast accepts exactly the tokens ``float()`` accepts, so the
+  array is bitwise that of a token-by-token parse.  Every other file -- a
+  ``coordinate`` file, one with comments in its body, one with a fault --
+  goes through the line-by-line parser, which words each fault.
 * ``save_matrix`` emits the ``array`` variant with shortest round-trip
   decimal values and LF line endings, so writes are byte-reproducible.
 * Vectors travel as single-column ``array`` files.
@@ -114,26 +114,35 @@ def _parse_size(layout: str, line: str, path, lineno: int) -> tuple[int, int, in
 
 
 def _parse_clean(text: str, path) -> np.ndarray | None:
-    """Parse a comment-free ``array`` file in one vectorized pass, or return
-    None.
+    """Parse an ``array`` file in one vectorized pass, or return None.
 
-    Applies when the banner and the size line are lines 1 and 2 and no ``%``
-    follows the banner; a fault in either raises what ``_parse_lines``
+    Applies when the banner is line 1, only blank and ``%`` comment lines
+    come between it and the size line, and no ``%`` follows the size line;
+    a fault in the banner or the size line raises what ``_parse_lines``
     raises.  Returns None for a ``coordinate`` file and wherever
-    ``_parse_lines`` would not return the same array -- a comment, a blank
-    size line, a bad token, a wrong count or a non-finite value -- so that
-    it handles the file.  The body is split once; no list of lines is built.
+    ``_parse_lines`` would not return the same array -- a header line that
+    ``str.splitlines`` would split further, a ``%`` in the body, a bad
+    token, a wrong count or a non-finite value -- so that it handles the
+    file.  The body is split once; no list of lines is built.
     """
-    first = text.find("\n")
-    second = text.find("\n", first + 1)
-    if first < 0 or second < 0 or text.find("%", first) >= 0:
+    end = text.find("\n")
+    if end < 0:
         return None
-    head = text[:second].splitlines()
-    if len(head) != 2 or not head[1].strip() or _parse_banner(head[0], path) != "array":
+    while True:  # to the end of the first line that is neither blank nor a comment
+        start, end = end + 1, text.find("\n", end + 1)
+        if end < 0:
+            return None
+        line = text[start:end].strip()
+        if line and not line.startswith("%"):
+            break
+    head = text[:end].splitlines()
+    if len(head) != text.count("\n", 0, end) + 1 or text.find("%", end) >= 0:
         return None
-    rows, cols, _ = _parse_size("array", head[1], path, 2)
+    if _parse_banner(head[0], path) != "array":
+        return None
+    rows, cols, _ = _parse_size("array", head[-1], path, len(head))
     try:  # a bad token, or a wrong entry count, which fails the reshape
-        values = np.array(text[second + 1 :].split(), dtype=np.float64)
+        values = np.array(text[end + 1 :].split(), dtype=np.float64)
         values = values.reshape((rows, cols), order="F")
     except ValueError:
         return None

@@ -127,7 +127,7 @@ def approx_truncated_solve(
     ``A A^T`` and its squares ``(A A^T)^(2^j)``, for
     ``O(m^2 n + J m^3 + m^2 (k + s) (p / 2^J + J))`` with J squarings, and
     from about n = 200 on the paper's problems runs that ladder in float32,
-    which moves x by 2e-7 to 5e-7 relative there (up to 4e-6 on flatter
+    which moves x by 2e-7 to 5.4e-7 relative there (up to 4e-6 on flatter
     spectra); where the k-th Ritz residual reads below 1e-5 it runs the walk
     again in float64 and returns its x (:func:`trunclsq.subspace.approx_truncated_svd`).
     Raises :class:`IllConditionedTruncation` when the recovered k-th singular

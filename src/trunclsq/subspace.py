@@ -21,23 +21,27 @@ per pass and the drift per step: a step on a rung, which is scaled to a
 trace below one, shrinks the block by about the same factor whatever its
 ``2^j``.
 
-The loop needs only the block's span, so every QR after the walk's first
-is a Cholesky QR of the block's l-by-l Gram (78-120 us on a float32 block
-where Householder took 98-262 us, l = 24, m = 100..500, one thread), within
-the spread limit that keeps it exact enough.  The first QR, every
-checkpoint's and any the schedule could not keep within that limit stay
-Householder.
+The walk needs only its block's span, so every QR it takes, the first
+included, is a Cholesky QR of the block's l-by-l Gram (46-79 us on a
+float32 block where Householder took 51-153 us, l = 24, m = 100..500, one
+thread), kept where its own reading lies within the spread limit that keeps
+it exact enough.  The first block, which no reading bounds, is scaled by a
+power of two wherever its Gram would leave float64's range.  A block under
+1.5 l or 64 rows tall, a QR the schedule could not keep within the limit,
+one whose Cholesky fails or reads past it, and every checkpoint's QR, which
+hands a float64 basis to a Ritz step, take numpy's Householder QR.
 
 A walk may also run its ladder in float32, whose syrk and gemm OpenBLAS
 runs in 41-67 % of the float64 time, under float32's own spread, drift and
-Gram limits; ``A S``, the two-product passes, the QRs of checkpoints and
-of the range finder, the Ritz step and the apply stay float64.  It does so
+Gram limits; ``A S``, the two-product passes, the checkpoints' QRs, the
+Ritz step and the apply stay float64, and every QR forms its Gram in
+float64.  It does so
 only where the caller asks, where float32's tighter Gram limit costs
 float64's ladder plan no rung, and where the flops float32 halves outweigh
 a measured count of the QRs it adds.  :func:`approx_truncated_svd` asks,
 then keeps the float32 answer only where its own Ritz residual shows that
 the sketch's error dwarfs float32's rounding; on the paper's problems
-(n = 200..500, gap 0.99) x moved about 2e-7 to 5e-7 relative.  Every call
+(n = 200..500, gap 0.99) x moved about 2e-7 to 5.4e-7 relative.  Every call
 with default arguments stays in float64,
 :func:`trunclsq.bounds.subspace_capture_bound` among them, whose
 exact-arithmetic bound float32 rounding would break.
@@ -47,7 +51,9 @@ The walk carries the l-by-m row block ``Y^T``: a pass runs as
 ``A (A^T Y)`` and ``G Y`` at m = 300..500 on one OpenBLAS thread.
 
 The range finder orthonormalizes the p-th iterate to the m-by-l basis
-``Q`` with one QR at the end, which completes a rank-deficient iterate with
+``Q`` with one QR at the end: a Cholesky QR within float32's spread limit
+where the walk rounded at float32, whose basis goes on in float32 anyway,
+and otherwise Householder's, which completes a rank-deficient iterate with
 orthonormal columns.  One Ritz step, :func:`ritz_factorization`, turns any
 such basis into a rank-k factorization (Alg. 5.1): the thin SVD of the
 small l-by-n cross product ``Q^T A``, whose k leading triples, lifted by Q,
@@ -162,6 +168,30 @@ _FIRST_FLOAT32_MARGIN = 2 * _PLANNING_MARGIN
 # reading, whose first interval would otherwise run without a QR.
 _FLOAT64_EDGE = -math.log(np.finfo(np.float64).tiny)
 
+# A Cholesky QR needs a block at least _CHOLESKY_ASPECT times as tall as
+# wide and at least _CHOLESKY_ROWS rows tall; shorter blocks take
+# Householder.  Below 1.5 l rows the l-by-l inverse of L costs about as much
+# as the Gram, and a Cholesky QR of 24 to 48 rows at l = 24 ran 2-7 % dearer
+# than Householder, called alone (one OpenBLAS thread).  Below 64 rows the
+# fixed cost of its five LAPACK and BLAS calls outweighs what it saves: in a
+# loop over the benchmark's certificate solves (m <= 60), where each call
+# finds the other kind's code cold, Cholesky first QRs raised the median
+# approx-to-exact time ratio 2.5 %, and with both limits it stayed within
+# 1 % of walks whose first QR is Householder.  From m = 100 on, the paper's
+# sizes, a Cholesky QR costs about half of Householder's.
+_CHOLESKY_ASPECT = 1.5
+_CHOLESKY_ROWS = 64
+
+# The range a block's Gram is formed in without rescaling.  With its largest
+# diagonal entry, the block's largest squared column norm, within 1e+-200,
+# the Gram cannot overflow, and every column within the spread limit 1e6 of
+# the largest in norm keeps its squared norm above 1e-212, nearly a hundred
+# orders above float64's smallest normal number.  Only the walk's first
+# block, which no reading bounds, leaves it: its entries scale like sigma^3,
+# 2^+-900 for A scaled by 2^+-300, where an unscaled Gram overflows, or
+# underflows to a factor that can pass the spread check.
+_GRAM_RANGE = (1e-200, 1e200)
+
 # One Cholesky QR of a float32 m-by-l block, its Gram formed in float64,
 # costs about as much as 6e5 + 12 m l^2 flops of the ladder's products: with
 # numpy 2.4 on one OpenBLAS thread and l = 24 it took 40 us at m = 100,
@@ -206,16 +236,38 @@ def _rung(M: np.ndarray) -> np.ndarray:
     computes it as one symmetric rank update (BLAS syrk) in M's precision.
     The rung is scaled in place, in its own precision, by the power of two
     that brings its trace into [0.5, 1): exact in binary, and it keeps
-    ``sigma_1^(2^(j+1))`` inside the range however high the ladder climbs."""
+    ``sigma_1^(2^(j+1))`` inside the range however high the ladder climbs.
+    Where that power is a normal number of the rung's precision the scaling
+    multiplies by it, which rounds as ``ldexp`` does in half its time."""
     G = M @ M.T
-    np.ldexp(G, -np.frexp(G.trace())[1], out=G)
+    exponent = int(np.frexp(G.trace())[1])
+    info = np.finfo(G.dtype)
+    if info.minexp <= -exponent < info.maxexp:
+        G *= G.dtype.type(2.0**-exponent)
+    else:
+        np.ldexp(G, -exponent, out=G)
     return G
 
 
 def _float32_copy(A: np.ndarray) -> np.ndarray:
     """A in float32, scaled by the power of two that brings ``max |A_ij|``
-    into [0.5, 1): exact, and it keeps any float64 A inside float32's range."""
-    exponent = np.frexp(max(A.max(), -A.min()))[1]
+    into [0.5, 1): exact, and it keeps any float64 A inside float32's range.
+
+    It casts first and scales the float32 copy in place, 12-27 % faster
+    than scaling in float64 and casting at n = 200..500; the two round alike
+    wherever no entry is subnormal in float32 before or after the scaling,
+    and an inexact subnormal raises the underflow flag.  Where the scale
+    itself is not a normal float32 or the flag is raised, it scales in
+    float64 and casts."""
+    exponent = int(np.frexp(max(A.max(), -A.min()))[1])
+    if -127 <= exponent <= 126:
+        try:
+            with np.errstate(under="raise"):
+                copy = A.astype(np.float32)
+                copy *= np.float32(2.0**-exponent)
+            return copy
+        except FloatingPointError:
+            pass
     return np.ldexp(A, -exponent, out=np.empty(A.shape, np.float32), casting="same_kind")
 
 
@@ -226,6 +278,47 @@ def _reading(logs: np.ndarray) -> tuple[float, float]:
     return high - low, max(high, -low)
 
 
+def _cholesky_qr(Yt: np.ndarray, spread: float) -> tuple[np.ndarray, float, float] | None:
+    """A Cholesky QR of ``Y``, kept only where its own reading allows it, and
+    the :func:`_reading` of its ``diag L``, which is ``|diag R|`` in exact
+    arithmetic; None where it does not apply.
+
+    ``L = cholesky(Y^T Y)`` of the l-by-l Gram, formed in float64 whatever
+    the block's precision, gives the block ``inv(L) Y^T`` in the block's
+    precision.  It keeps the block's span, and its rows orthonormal to about
+    ``kappa^2 u``, while ``kappa^2 u < 1`` (Fukaya, Nakatsukasa, Yanagisawa &
+    Yamamoto 2014): the float64 spread limit 1e6 holds that at about 1e-4,
+    float32's 1e4 at about 1e-8.  A Gram whose largest diagonal entry leaves
+    ``_GRAM_RANGE`` is formed again on the block scaled by the power of two
+    that brings its largest entry into [0.5, 1): exact, so only the drift
+    reading moves, by the known exponent.  It returns None on a block under
+    ``_CHOLESKY_ASPECT`` times as tall as wide or under ``_CHOLESKY_ROWS``
+    rows, where it is dearer than Householder, on a Gram that is not
+    positive definite, and where ``diag L`` reads a log spread past
+    ``spread`` (or NaN)."""
+    width, m = Yt.shape
+    if m < max(_CHOLESKY_ASPECT * width, _CHOLESKY_ROWS):
+        return None
+    B = Yt.astype(np.float64, copy=False)
+    with np.errstate(over="ignore", under="ignore"):  # caught by the range check
+        G, exponent = B @ B.T, 0
+    if not _GRAM_RANGE[0] <= G.diagonal().max() <= _GRAM_RANGE[1]:  # also on NaN
+        exponent = int(np.frexp(max(B.max(), -B.min()))[1])
+        B = np.ldexp(B, -exponent)
+        G = B @ B.T
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return None
+    logs = np.log(L.diagonal())
+    if exponent:
+        logs += exponent * math.log(2)
+    reading = _reading(logs)
+    if not reading[0] <= spread:
+        return None
+    return (np.linalg.inv(L) @ B).astype(Yt.dtype, copy=False), *reading
+
+
 def _orthonormalize(Yt: np.ndarray, passes: float, steps: float,
                     cholesky: bool) -> tuple[np.ndarray, float, float]:
     """A row block with orthonormal rows spanning the rows of ``Y^T``, and
@@ -233,42 +326,27 @@ def _orthonormalize(Yt: np.ndarray, passes: float, steps: float,
     steps since the last QR: the log spread ``ln(max/min |R_ii|)`` per pass
     and the drift ``max |ln |R_ii||`` per step.
 
-    With ``cholesky`` it takes a Cholesky QR: ``L = cholesky(Y^T Y)`` of the
-    l-by-l Gram, formed in float64 whatever the block's precision, and the
-    block ``inv(L) Y^T`` cast back to it; ``diag L`` is ``|diag R|`` in exact
-    arithmetic.  It keeps the block's span, all the walk needs, while
-    ``kappa^2 u < 1`` (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto 2014),
-    which the float64 spread limit holds at about 1e-4; a block within the
-    drift limit of 1e100 has a Gram within 1e+-200.  A Cholesky that fails,
-    or whose ``diag L`` reads past either float64 limit, falls back to
-    numpy's Householder QR, which every other call takes."""
-    if cholesky:
-        B = Yt.astype(np.float64, copy=False)
-        try:
-            L = np.linalg.cholesky(B @ B.T)
-        except np.linalg.LinAlgError:
-            L = None
-        if L is not None:
-            spread, drift = _reading(np.log(L.diagonal()))
-            if spread <= _FLOAT64.spread and drift <= _FLOAT64.drift:  # False on NaN
-                Qt = (np.linalg.inv(L) @ B).astype(Yt.dtype, copy=False)
-                return Qt, spread / passes, drift / steps
-    Q, R = np.linalg.qr(Yt.T)
-    spread, drift = _reading(np.log(np.maximum(np.abs(R.diagonal()), np.finfo(np.float64).tiny)))
-    return Q.T, spread / passes, drift / steps
+    With ``cholesky`` it takes :func:`_cholesky_qr` within the float64
+    spread limit, all the walk needs being the block's span; where that
+    returns None, and on every other call, numpy's Householder QR, which
+    completes a rank-deficient block with orthonormal rows."""
+    found = _cholesky_qr(Yt, _FLOAT64.spread) if cholesky else None
+    if found is None:
+        Q, R = np.linalg.qr(Yt.T)
+        found = Q.T, *_reading(np.log(np.maximum(np.abs(R.diagonal()), np.finfo(np.float64).tiny)))
+    Qt, spread, drift = found
+    return Qt, spread / passes, drift / steps
 
 
 class _Ladder:
     """What a walk on A carries from one segment to the next: the rungs
-    ``G^(2^j)``, which depend only on A, the limits, source and margin of
-    their precision, and its last QR's reading.  A one-segment walk keeps
-    only the rung it stands on (``keep=False``)."""
+    ``G^(2^j)`` it climbed, which depend only on A, the limits, source and
+    margin of their precision, and its last QR's reading."""
 
-    __slots__ = ("rungs", "keep", "limits", "source", "margin", "spread", "drift", "readable")
+    __slots__ = ("rungs", "limits", "source", "margin", "spread", "drift", "readable")
 
-    def __init__(self, A: np.ndarray, keep: bool) -> None:
-        self.rungs: list[np.ndarray | None] = []
-        self.keep = keep
+    def __init__(self, A: np.ndarray) -> None:
+        self.rungs: list[np.ndarray] = []
         self.limits, self.source, self.margin = _FLOAT64, A, _PLANNING_MARGIN
         self.spread, self.drift, self.readable = math.inf, 0.0, False
 
@@ -342,8 +420,9 @@ def _walk(A: np.ndarray, Yt: np.ndarray, depth: int, ladder: _Ladder, *, passes:
     steps their drift is planned on the bound trace scaling gives: a rung's
     largest eigenvalue is at least ``1/(2m)``, so a step shrinks the
     strongest column by at most ``2m``, the weakest by that and its spread.
-    The first QR is Householder; every later one planned within the float64
-    limits is a Cholesky QR (:func:`_orthonormalize`).  With ``float32``, G
+    Every QR, the first included, is a Cholesky QR where the reading
+    leaves it within float64's spread limit or no QR has read the block yet
+    (:func:`_orthonormalize`).  With ``float32``, G
     and the ladder are formed in float32 where :func:`_float32_pays` and
     planned under ``_FLOAT32``, the first interval at ``_FIRST_FLOAT32_MARGIN``
     on its float64 reading.  A tall A runs two-product passes only: its G
@@ -362,15 +441,13 @@ def _walk(A: np.ndarray, Yt: np.ndarray, depth: int, ladder: _Ladder, *, passes:
                 ladder.drift = None  # read on two-product passes, not on rung steps
             if level + 1 == len(ladder.rungs):
                 ladder.rungs.append(_rung(ladder.source if level < 0 else ladder.rungs[level]))
-                if level >= 0 and not ladder.keep:
-                    ladder.rungs[level] = None
             level += 1
         step = 1 << max(level, 0)
         per_step = shrink + step * ladder.spread if ladder.drift is None else ladder.drift
         if passes >= 1 and ((passes + step) * ladder.margin * ladder.spread > ladder.limits.spread
                             or (steps + 1) * per_step > ladder.limits.drift):
-            cholesky = (passes * ladder.margin * ladder.spread <= _FLOAT64.spread
-                        and steps * per_step <= _FLOAT64.drift)
+            cholesky = (ladder.spread == math.inf
+                        or passes * ladder.margin * ladder.spread <= _FLOAT64.spread)
             Yt, ladder.spread, ladder.drift = _orthonormalize(Yt, passes, steps, cholesky)
             ladder.readable = ladder.drift * steps < _FLOAT64_EDGE
             passes, steps, ladder.margin = 0, 0, _PLANNING_MARGIN
@@ -401,7 +478,7 @@ def power_product(A: np.ndarray, S: np.ndarray, p: int, *, dtype: type = np.floa
     dtype = np.dtype(dtype)
     if dtype not in (np.float64, np.float32):
         raise ValueError(f"the walk rounds at float64 or float32, got {dtype}")
-    return _walk(A, S.T @ A.T, p, _Ladder(A, keep=False), passes=0.5,
+    return _walk(A, S.T @ A.T, p, _Ladder(A), passes=0.5,
                  float32=dtype == np.float32).T
 
 
@@ -410,10 +487,18 @@ def power_basis_from_sketch(A: np.ndarray, S: np.ndarray, p: int, *,
     """Orthonormal basis, as wide as S, whose span contains the columns of
     ``(A A^T)^p A S``; the QR completes a rank-deficient iterate with
     orthonormal columns.  Fully deterministic in its inputs: no randomness
-    beyond the given sketch.  ``dtype`` goes to :func:`power_product`; the
-    QR runs in float64 and the basis comes back in the iterate's precision,
-    so a float32 basis says that the walk rounded at float32."""
+    beyond the given sketch.  ``dtype`` goes to :func:`power_product`, and
+    the basis comes back in the iterate's precision, so a float32 basis says
+    that the walk rounded at float32.  A float32 iterate takes a Cholesky QR
+    of its float64 Gram, kept within float32's spread limit; a float64 one,
+    and a float32 one past that limit, numpy's Householder QR in float64
+    (:func:`trunclsq.linalg.qr_factor`), which gives a float64 basis
+    orthonormal to working precision."""
     Y = power_product(A, S, p, dtype=dtype)
+    if Y.dtype == np.float32:
+        found = _cholesky_qr(Y.T, _FLOAT32.spread)
+        if found is not None:
+            return found[0].T
     return qr_factor(Y)[0].astype(Y.dtype, copy=False)
 
 
@@ -460,7 +545,7 @@ def approx_truncated_svd(A: np.ndarray, k: int, p: int, seed: RngSeed) -> Trunca
     ``Q Q^T A`` to working precision; a cross product of numerical rank below
     k raises :class:`InvalidTruncation`.
 
-    The basis is asked for in float32, which moves x by 2e-7 to 5e-7
+    The basis is asked for in float32, which moves x by 2e-7 to 5.4e-7
     relative on the paper's problems, up to 4e-6 on flatter spectra.  Where
     the walk ran in float32, the factorization is kept only if the k-th Ritz
     pair's relative residual ``||A v_k - sigma_k u_k|| / sigma_k`` reads at
@@ -493,7 +578,7 @@ def ritz_checkpoints(
     A = as_matrix(A, "A")
     k = _check_level(k, *A.shape)
     S = gaussian_matrix(A.shape[1], _sketch_width(A, k), seed)
-    ladder, float32 = _Ladder(A, keep=True), np.dtype(dtype) == np.float32
+    ladder, float32 = _Ladder(A), np.dtype(dtype) == np.float32
     Yt, p = S.T @ A.T, 0
     while True:
         Q = np.linalg.qr(Yt.T.astype(np.float64, copy=False))[0]

@@ -1,13 +1,14 @@
 """The Matrix Market parse against token-by-token references.
 
-Only ``array`` files take one pass: one whose banner and size line are
-lines 1 and 2 and which holds no comment is parsed by numpy casts.  Every
-other file, ``coordinate`` files among them, and every fault, goes through
-the line-by-line parser.  These tests pin that the two give bitwise the
-same arrays and word the same errors, that clean ``array`` files do take
-the one-pass route, that ``coordinate`` files load bitwise as an
-entry-by-entry reference parse does, and that the writer's bytes are those
-of a per-value ``repr(float(v))`` writer.
+Only ``array`` files take one pass: one whose banner is line 1, whose size
+line follows it after blank and comment lines only, and whose body holds no
+comment is parsed by numpy casts.  Every other file, ``coordinate`` files
+among them, and every fault, goes through the line-by-line parser.  These
+tests pin that the two give bitwise the same arrays and word the same
+errors, that clean ``array`` files do take the one-pass route, that
+``coordinate`` files load bitwise as an entry-by-entry reference parse does,
+and that the writer's bytes are those of a per-value ``repr(float(v))``
+writer.
 """
 
 import subprocess
@@ -109,6 +110,22 @@ class TestOnePassArray:
         save_matrix(A, path)
         assert load_matrix(path).tobytes() == A.tobytes()
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_commented_header_takes_one_pass(self, tmp_path, one_pass_only, newline):
+        A = special_matrix(7, 9, 5)
+        header = [ARRAY.rstrip("\n"), "% written by a tool", "", " %indented", "  ", "9 5"]
+        text = newline.join([*header, *tokens_of(A)]) + newline
+        loaded = load_matrix(write(tmp_path, text))
+        assert loaded.tobytes() == reference_array(text).tobytes() == A.tobytes()
+
+    def test_scipy_written_array_file_loads_bitwise(self, tmp_path, one_pass_only):
+        # scipy.io.mmwrite puts a "%" line between the banner and the size line.
+        scipy_io = pytest.importorskip("scipy.io")
+        A = special_matrix(8, 40, 30)
+        path = tmp_path / "scipy.mtx"
+        scipy_io.mmwrite(path, A)
+        assert load_matrix(path).tobytes() == A.tobytes()
+
     def test_comments_and_blank_lines_load_identically(self, tmp_path):
         A = special_matrix(4, 6, 4)
         tokens = tokens_of(A)
@@ -171,6 +188,10 @@ TRICKY = {
     "size line only": COORDINATE + "2 2 0",
     "blank size line": ARRAY + "   \n1 1\n7\n",
     "blank first line": "\n" + ARRAY + "1 1\n7\n",
+    "comment before the size line": ARRAY + "% note\n\n1 2\n1 2\n",
+    "carriage return in a header comment": ARRAY + "% note\r1 1\n2 1\n7\n8\n",
+    "form feed in a header comment": ARRAY + "% a\x0c1 1\n2 1\n7\n8\n",
+    "comment after the size line": ARRAY + "% note\n1 2\n1\n% more\n2\n",
     "percent inside a token": ARRAY + "1 2\n1 2%\n",
     "too many entries": ARRAY + "1 2\n1 2\n3\n",
     "too few entries": ARRAY + "1 2\n1\n",

@@ -328,12 +328,13 @@ class TestQRSchedule:
         assert all(checked(qrs) >= 1 for _, qrs in paper_grid_qrs[1::2])
         assert sum(checked(qrs) for _, qrs in paper_grid_qrs) >= len(paper_grid_qrs)
 
-    def test_paper_grid_walks_take_cholesky_qr_after_the_first(self, paper_grid_qrs):
-        # The first QR reads a block no reading bounds, so it is Householder;
-        # every later one plans within float64's spread limit and takes the
-        # cheaper Cholesky QR without falling back.
+    def test_paper_grid_walks_take_only_cholesky_qrs(self, paper_grid_qrs):
+        # The first QR reads a block no reading bounds, whose diag L reads
+        # within float64's spread limit all the same; every later one plans
+        # within that limit.  All of them take the cheaper Cholesky QR
+        # without falling back.
         for walk, qrs in paper_grid_qrs:
-            assert [qr.householder for qr in qrs] == [True] + [False] * (len(qrs) - 1), walk
+            assert not any(qr.householder for qr in qrs), walk
 
     def test_hard_spectrum_walks_stay_within_the_limit(self, qr_walk):
         A, _, k = hard_spectrum_problem()
@@ -424,8 +425,71 @@ class TestCholeskyQR:
             Q = np.linalg.qr(Yt.T)[0]
             assert projection_distance_oracle(Qt.T, Q) <= atol
 
+    def test_short_blocks_take_householder(self, qr_walk):
+        # A Cholesky QR is dearer than Householder on a block under 1.5 l
+        # rows, as on the certificate-shaped 30-by-28 A sketched 24 wide, and
+        # on one under 64 rows, as on the 60-by-16 A sketched 14 wide: every
+        # QR of their walks, the first included, is Householder.  At 72 rows,
+        # 1.5 times the sketch width 48, every one is a Cholesky QR.
+        rng = np.random.default_rng(94)
+        for m, n, k, householder in ((30, 28, 20, True), (60, 16, 10, True),
+                                     (71, 80, 44, True), (72, 80, 44, False),
+                                     (100, 80, 20, False)):
+            A = rng.standard_normal((m, n))
+            qrs = qr_walk(power_basis, A, k, 6, RngSeed(95))
+            assert qrs and all(qr.householder == householder for qr in qrs), m
+
+    @pytest.mark.parametrize("rank, householder", [(10, True), (14, False)])
+    def test_float32_basis_falls_back_to_householder_past_float32s_limit(
+            self, monkeypatch, rank, householder):
+        # A float32 iterate of rank 10 below its width 14 reads a spread far
+        # past float32's 1e4: its basis is Householder's, which completes it
+        # with orthonormal columns.  A full-rank one takes the Cholesky QR.
+        # Either basis is float32 and spans the iterate.
+        Y = rank_k_matrix(np.random.default_rng(96), 200, 14, rank).astype(np.float32)
+        monkeypatch.setattr(subspace_module, "power_product", lambda *args, **kwargs: Y)
+        real, calls = subspace_module.qr_factor, []
+        monkeypatch.setattr(subspace_module, "qr_factor", lambda M: calls.append(M) or real(M))
+        Q = power_basis_from_sketch(np.eye(200), np.ones((200, 14)), 3, dtype=np.float32)
+        assert Q.dtype == np.float32 and len(calls) == householder
+        Q = Q.astype(np.float64)
+        assert np.max(np.abs(Q.T @ Q - np.eye(14))) <= 1e-6
+        Y = Y.astype(np.float64)
+        assert np.linalg.norm(Y - Q @ (Q.T @ Y)) <= 1e-6 * np.linalg.norm(Y)
+
 
 class TestFloat32Ladder:
+    @pytest.mark.parametrize("dtype, exponents, weak", [
+        (np.float64, (-520, -300, 0, 300, 500), -530),
+        (np.float32, (-30, 0, 30), -70),
+    ])
+    def test_rungs_scale_as_ldexp_does(self, dtype, exponents, weak):
+        # A rung is scaled by multiplying where the power of two is a normal
+        # number of its precision, which rounds as ldexp does, subnormal
+        # entries included; beyond that range it runs ldexp.  A weak row
+        # leaves entries subnormal after the scaling.
+        rng = np.random.default_rng(98)
+        for exponent in exponents:
+            M = (rng.standard_normal((30, 20)) * 2.0**exponent).astype(dtype)
+            M[0] *= dtype(2.0**weak)
+            G = M @ M.T
+            expected = np.ldexp(G, -np.frexp(G.trace())[1])
+            assert subspace_module._rung(M).tobytes() == expected.tobytes(), exponent
+
+    def test_float32_copy_is_bitwise_the_float64_scaling_cast(self):
+        # The copy casts first where that rounds as scaling in float64 and
+        # casting does; entries subnormal in float32 before or after the
+        # scaling, and scales outside float32's normal range, take the
+        # float64 scaling.
+        rng = np.random.default_rng(97)
+        for exponent in (-300, -140, -120, -10, 0, 3, 120, 140, 300):
+            A = rng.standard_normal((20, 12)) * 2.0**exponent
+            for head in ([0.0, -0.0, 1e-40, 2.0**(exponent - 130), -3.3 * 2.0**(exponent - 148)],
+                         2.0**exponent):
+                A[0, :5] = head
+                expected = np.ldexp(A, -np.frexp(np.abs(A).max())[1]).astype(np.float32)
+                assert subspace_module._float32_copy(A).tobytes() == expected.tobytes(), exponent
+
     def test_default_calls_never_round_at_float32(self, monkeypatch):
         # On a problem whose fixed-depth walk runs its ladder in float32 when
         # asked to, every call with default arguments stays in float64.
