@@ -47,6 +47,21 @@ SVD_RANK_FACTOR = 1e-14
 # anything below is refused as numerically uninvertible.
 SIGMA_RATIO_FLOOR = 1e-13
 
+# thin_svd(gram=True) takes the Gram route only where the short-side Gram's
+# eigenvalues lie within this ratio of each other, sigma_1/sigma_r <= 100:
+# eigh resolves each eigenvalue to about eps * lambda_max, so every sigma to
+# about eps * 1e4 / 2, 1e-12 relative.
+_GRAM_SPREAD = 1e-4
+
+# The range a Gram is formed in as is, here and in the walk's Cholesky QRs
+# (trunclsq.subspace).  With its largest diagonal entry, the largest squared
+# norm of a row of the block, within 1e+-200, the Gram cannot overflow, and
+# every row within a spread of 1e6 of the largest in norm keeps its squared
+# norm above 1e-212, nearly a hundred orders above float64's smallest normal
+# number.  thin_svd's Gram route, whose weakest eigenvalue lies within 1e4 of
+# the largest, takes LAPACK's SVD outside it.
+_GRAM_RANGE = (1e-200, 1e200)
+
 
 def as_matrix(M: object, name: str = "matrix") -> np.ndarray:
     """Validate ``M`` as a dense real matrix and return it as float64."""
@@ -115,7 +130,28 @@ def qr_factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.qr(M, mode="reduced")
 
 
-def thin_svd(M: np.ndarray) -> ThinSVD:
+def _gram_factors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``(U, sigma, V^T)`` of M through ``eigh`` of its short-side Gram
+    ``T T^T`` (T = M, or M^T where M is tall): eigenvectors W, eigenvalues
+    ``sigma^2``, and the long side's rows ``(W / sigma)^T T``.  None where
+    the Gram leaves ``_GRAM_RANGE`` or reads
+    ``lambda_min < _GRAM_SPREAD * lambda_max`` (an all-zero M included)."""
+    wide = M.shape[0] <= M.shape[1]
+    T = M if wide else M.T
+    with np.errstate(over="ignore", under="ignore"):  # caught by the range check
+        G = T @ T.T
+    if not _GRAM_RANGE[0] <= G.diagonal().max() <= _GRAM_RANGE[1]:  # also on NaN
+        return None
+    w, W = np.linalg.eigh(G)
+    if w[0] < _GRAM_SPREAD * w[-1]:
+        return None
+    s = np.sqrt(w[::-1])
+    W = W[:, ::-1]
+    long = (W / s).T @ T
+    return (W, s, long) if wide else (long.T, s, W.T)
+
+
+def thin_svd(M: np.ndarray, *, gram: bool = False) -> ThinSVD:
     """Thin SVD keeping only the numerically nonzero singular triples.
 
     Singular values at or below ``max(rows, cols) * sigma_1 * SVD_RANK_FACTOR``
@@ -125,19 +161,39 @@ def thin_svd(M: np.ndarray) -> ThinSVD:
     is factored through the SVD of its transpose, which LAPACK's gesdd runs
     faster on OpenBLAS than the wide factorization.  Raises
     :class:`ZeroMatrix` for an all-zero input.
+
+    With ``gram=True`` a matrix whose short-side r-by-r Gram is well
+    conditioned, ``lambda_min >= 1e-4 lambda_max`` so that
+    ``sigma_1 / sigma_r <= 100``, is factored through ``eigh`` of that Gram:
+    one syrk, one r-by-r eigendecomposition and the long side
+    ``T^T W / sigma`` (:func:`_gram_factors`).  Each sigma is then accurate
+    to about ``eps * 1e4``, 2e-12 relative, where LAPACK's SVD is backward
+    stable on any spectrum; the factors keep the sign canonicalization, C
+    order and ``rank = r``.  A Ritz step through it took 140-170 us at
+    24 x 300..500 where one through gesdd took 250-345 us (one OpenBLAS
+    thread, min of 200).  Every other input, and every call without the
+    keyword, runs LAPACK as above, bit for bit.  Only the Ritz step of
+    :mod:`trunclsq.subspace` asks for it; the exact, Tikhonov and full
+    least-squares solves and every certificate's exact factors keep
+    LAPACK's SVD.
     """
     M = as_matrix(M, "M")
-    wide = M.shape[0] < M.shape[1]
-    U, s, Vt = np.linalg.svd(M.T if wide else M, full_matrices=False)
-    if s[0] == 0.0:  # sigma_1 >= max |M_ij|, so only an all-zero M reads 0
-        raise ZeroMatrix(f"cannot factor an all-zero {M.shape[0]}x{M.shape[1]} matrix")
-    if wide:
-        U, Vt = Vt.T, U.T
-    cutoff = max(M.shape) * s[0] * SVD_RANK_FACTOR
-    rank = int(np.count_nonzero(s > cutoff))
-    if rank == 0:
-        raise ZeroMatrix("matrix is numerically zero: all singular values below cutoff")
-    Vt = Vt[:rank]
+    found = _gram_factors(M) if gram else None
+    if found is not None:
+        U, s, Vt = found
+        rank = s.shape[0]
+    else:
+        wide = M.shape[0] < M.shape[1]
+        U, s, Vt = np.linalg.svd(M.T if wide else M, full_matrices=False)
+        if s[0] == 0.0:  # sigma_1 >= max |M_ij|, so only an all-zero M reads 0
+            raise ZeroMatrix(f"cannot factor an all-zero {M.shape[0]}x{M.shape[1]} matrix")
+        if wide:
+            U, Vt = Vt.T, U.T
+        cutoff = max(M.shape) * s[0] * SVD_RANK_FACTOR
+        rank = int(np.count_nonzero(s > cutoff))
+        if rank == 0:
+            raise ZeroMatrix("matrix is numerically zero: all singular values below cutoff")
+        Vt = Vt[:rank]
     signs = np.copysign(1.0, Vt[np.arange(rank), abs(Vt).argmax(axis=1)])
     # C order: a product taken on a strided view of a factor can round differently.
     U = np.multiply(U[:, :rank], signs, order="C")

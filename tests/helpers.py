@@ -36,6 +36,19 @@ def hard_spectrum_problem():
     return A, rng.standard_normal(m), k
 
 
+def count_linalg_calls(monkeypatch, *names: str) -> dict[str, int]:
+    """Counts, by name, the calls made to each named ``numpy.linalg``
+    function while ``monkeypatch`` holds."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return counts
+
+
 def rank_k_matrix(
     rng: np.random.Generator, rows: int, cols: int, k: int, sigma=None
 ) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import (
+    count_linalg_calls,
     gram_singular_values,
     rank_k_matrix,
     spectral_norm_oracle,
@@ -213,6 +214,50 @@ class TestThinSvd:
         assert np.array_equal(F.sigma, T.sigma)
         assert np.array_equal(F.U, T.V * signs)
         assert np.array_equal(F.V, T.U * signs)
+
+    @staticmethod
+    def well_conditioned(rows, cols):
+        r = min(rows, cols)
+        return rank_k_matrix(np.random.default_rng(29), rows, cols, r,
+                             sigma=np.logspace(0.0, -1.0, r))
+
+    @pytest.mark.parametrize("rows, cols", [(24, 300), (20, 20), (60, 16)])
+    def test_gram_route_matches_the_default_route(self, rows, cols, monkeypatch):
+        M = self.well_conditioned(rows, cols)
+        F = thin_svd(M)
+        calls = count_linalg_calls(monkeypatch, "svd", "eigh")
+        G = thin_svd(M, gram=True)
+        assert calls == {"svd": 0, "eigh": 1}
+        assert G.rank == F.rank == min(rows, cols)
+        assert_allclose(G.sigma, F.sigma, rtol=1e-12, atol=0.0)
+        # Unit columns, each side sign-canonicalized on its own V.
+        assert np.all(np.abs(G.U - F.U).max(axis=0) <= 1e-12)
+        assert np.all(np.abs(G.V - F.V).max(axis=0) <= 1e-12)
+
+    @pytest.mark.parametrize("rows, cols", [(24, 300), (20, 20), (60, 16)])
+    def test_gram_route_factors_are_orthonormal_and_c_ordered(self, rows, cols):
+        G = thin_svd(self.well_conditioned(rows, cols), gram=True)
+        assert np.max(np.abs(G.U.T @ G.U - np.eye(G.rank))) <= 1e-12
+        assert np.max(np.abs(G.V.T @ G.V - np.eye(G.rank))) <= 1e-12
+        assert G.U.flags.c_contiguous and G.V.flags.c_contiguous
+        leads = np.argmax(np.abs(G.V), axis=0)
+        assert np.all(G.V[leads, np.arange(G.rank)] > 0)
+
+    @pytest.mark.parametrize("M", [
+        rank_k_matrix(np.random.default_rng(30), 24, 300, 24, sigma=np.logspace(0.0, -3.0, 24)),
+        rank_k_matrix(np.random.default_rng(31), 24, 300, 10),
+        1e160 * np.random.default_rng(32).standard_normal((24, 300)),
+        1e-160 * np.random.default_rng(33).standard_normal((24, 300)),
+    ], ids=["spread-past-100", "rank-deficient", "gram-overflows", "gram-underflows"])
+    def test_gram_route_falls_back_bit_for_bit(self, M):
+        F, G = thin_svd(M), thin_svd(M, gram=True)
+        assert G.rank == F.rank
+        assert np.array_equal(G.U, F.U) and np.array_equal(G.V, F.V)
+        assert np.array_equal(G.sigma, F.sigma)
+
+    def test_gram_route_rejects_a_zero_matrix(self):
+        with pytest.raises(ZeroMatrix, match="all-zero 3x5"):
+            thin_svd(np.zeros((3, 5)), gram=True)
 
 
 class TestPseudoInverse:

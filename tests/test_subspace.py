@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import (
+    count_linalg_calls,
     hard_spectrum_problem,
     projection_distance_oracle,
     random_orthonormal,
@@ -776,3 +777,52 @@ class TestApproxTruncatedSvd:
     def test_rank_deficient_matrix_rejected_at_requested_level(self, A, k):
         with pytest.raises(InvalidTruncation, match=rf"rank \({k - 1}\)"):
             approx_truncated_svd(A, k, 1, RngSeed(57))
+
+
+@pytest.fixture(scope="module")
+def ritz_cases():
+    """Fixed-depth solves as the benchmark runs them: one paper problem per
+    n at seeds 1 and 2 with its first sketch seed, at the paper's depth, and
+    the first 100 certificate instances of seed 1."""
+    inputs = perfbench_inputs()
+    cases = []
+    for seed in (1, 2):
+        for n in inputs.PAPER_GRID:
+            rng = inputs.rng_for(seed, inputs.TAG_PAPER_SWEEP, n, 0)
+            problem = inputs.paper_problem(n, 20, 0.99, 0.2, rng)
+            sketch_seed = int(rng.integers(inputs.SEED_LIMIT, size=5)[0])
+            cases.append((problem.A, problem.b, 20, inputs.paper_depth(n), RngSeed(sketch_seed)))
+    for i in range(100):
+        inst = inputs.certificate_instance(inputs.rng_for(1, inputs.TAG_CERTIFICATES, i),
+                                           clustered=i % 2 == 1)
+        cases.append((inst.problem.A, inst.problem.b, inst.problem.k, inst.p,
+                      RngSeed(inst.solve_seed)))
+    return cases
+
+
+class TestRitzRoute:
+    """The Ritz step factors ``Q^T A`` through the eigendecomposition of its
+    row Gram where that Gram is well conditioned, and through LAPACK's SVD
+    elsewhere (:func:`trunclsq.linalg.thin_svd` with ``gram=True``)."""
+
+    def test_paper_grid_and_certificate_steps_take_the_gram_route(self, ritz_cases, monkeypatch):
+        calls = count_linalg_calls(monkeypatch, "svd", "eigh")
+        for A, _, k, p, seed in ritz_cases:
+            approx_truncated_svd(A, k, p, seed)
+        assert calls["svd"] == 0 and calls["eigh"] >= len(ritz_cases)
+
+    def test_hard_spectrum_step_takes_lapack(self, monkeypatch):
+        # sigma_1/sigma_l reads about 2.4e3 on this spectrum, past the Gram
+        # route's 100.
+        A, _, k = hard_spectrum_problem()
+        calls = count_linalg_calls(monkeypatch, "svd", "eigh")
+        approx_truncated_svd(A, k, 3, RngSeed(90))
+        assert calls["svd"] == calls["eigh"] >= 1
+
+    def test_solutions_stay_within_1e_12_of_the_lapack_route(self, ritz_cases, monkeypatch):
+        x_gram = [approx_truncated_solve(*case).x for case in ritz_cases]
+        real = subspace_module.thin_svd
+        monkeypatch.setattr(subspace_module, "thin_svd", lambda M, gram: real(M))
+        for case, x in zip(ritz_cases, x_gram):
+            x_lapack = approx_truncated_solve(*case).x
+            assert np.linalg.norm(x - x_lapack) <= 1e-12 * np.linalg.norm(x_lapack)
