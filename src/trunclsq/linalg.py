@@ -53,13 +53,10 @@ SIGMA_RATIO_FLOOR = 1e-13
 # about eps * 1e4 / 2, 1e-12 relative.
 _GRAM_SPREAD = 1e-4
 
-# The range a Gram is formed in as is, here and in the walk's Cholesky QRs
-# (trunclsq.subspace).  With its largest diagonal entry, the largest squared
-# norm of a row of the block, within 1e+-200, the Gram cannot overflow, and
-# every row within a spread of 1e6 of the largest in norm keeps its squared
-# norm above 1e-212, nearly a hundred orders above float64's smallest normal
-# number.  thin_svd's Gram route, whose weakest eigenvalue lies within 1e4 of
-# the largest, takes LAPACK's SVD outside it.
+# The range _gram keeps a Gram in.  With its largest diagonal entry, the
+# largest squared norm of a row of the block, within 1e+-200, the Gram cannot
+# overflow, and every row within a spread of 1e6 of the largest in norm keeps
+# its squared norm above 1e-212, far above float64's smallest normal number.
 _GRAM_RANGE = (1e-200, 1e200)
 
 
@@ -130,17 +127,25 @@ def qr_factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.qr(M, mode="reduced")
 
 
+def _gram(B: np.ndarray) -> np.ndarray | None:
+    """``B B^T`` of a float64 block, for :func:`_gram_factors` and the walk's
+    Cholesky QRs; None where its largest diagonal entry leaves ``_GRAM_RANGE``
+    (NaN included), with no warning for the ``inf - inf`` an overflow leaves."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        G = B @ B.T
+    return G if _GRAM_RANGE[0] <= G.diagonal().max() <= _GRAM_RANGE[1] else None
+
+
 def _gram_factors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """``(U, sigma, V^T)`` of M through ``eigh`` of its short-side Gram
     ``T T^T`` (T = M, or M^T where M is tall): eigenvectors W, eigenvalues
     ``sigma^2``, and the long side's rows ``(W / sigma)^T T``.  None where
-    the Gram leaves ``_GRAM_RANGE`` or reads
+    :func:`_gram` refuses the Gram or it reads
     ``lambda_min < _GRAM_SPREAD * lambda_max`` (an all-zero M included)."""
     wide = M.shape[0] <= M.shape[1]
     T = M if wide else M.T
-    with np.errstate(over="ignore", under="ignore"):  # caught by the range check
-        G = T @ T.T
-    if not _GRAM_RANGE[0] <= G.diagonal().max() <= _GRAM_RANGE[1]:  # also on NaN
+    G = _gram(T)
+    if G is None:
         return None
     w, W = np.linalg.eigh(G)
     if w[0] < _GRAM_SPREAD * w[-1]:
@@ -160,7 +165,8 @@ def thin_svd(M: np.ndarray, *, gram: bool = False) -> ThinSVD:
     making the factors deterministic.  A matrix with fewer rows than columns
     is factored through the SVD of its transpose, which LAPACK's gesdd runs
     faster on OpenBLAS than the wide factorization.  Raises
-    :class:`ZeroMatrix` for an all-zero input.
+    :class:`ZeroMatrix` for an all-zero input and ``ValueError`` where
+    ``sigma_1 * max(rows, cols)`` overflows float64.
 
     With ``gram=True`` a matrix whose short-side r-by-r Gram is well
     conditioned, ``lambda_min >= 1e-4 lambda_max`` so that
@@ -189,10 +195,11 @@ def thin_svd(M: np.ndarray, *, gram: bool = False) -> ThinSVD:
             raise ZeroMatrix(f"cannot factor an all-zero {M.shape[0]}x{M.shape[1]} matrix")
         if wide:
             U, Vt = Vt.T, U.T
-        cutoff = max(M.shape) * s[0] * SVD_RANK_FACTOR
+        cutoff = max(M.shape) * float(s[0]) * SVD_RANK_FACTOR  # a float overflows quietly
+        if not cutoff < np.inf:  # else sigma_1 > cutoff, so rank >= 1
+            raise ValueError(f"cannot factor a {M.shape[0]}x{M.shape[1]} matrix: "
+                             "sigma_1 * max(rows, cols) overflows float64")
         rank = int(np.count_nonzero(s > cutoff))
-        if rank == 0:
-            raise ZeroMatrix("matrix is numerically zero: all singular values below cutoff")
         Vt = Vt[:rank]
     signs = np.copysign(1.0, Vt[np.arange(rank), abs(Vt).argmax(axis=1)])
     # C order: a product taken on a strided view of a factor can round differently.

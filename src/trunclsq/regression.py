@@ -64,8 +64,9 @@ _GROWTH = 2
 _RATE_CAP = 0.999
 
 # The least epsilon at which the adaptive walk runs its Gram ladder in
-# float32, whose rounding moved x by at most about 4e-6 relative on the
-# problems measured: below 0.3 % of the (4/3) epsilon target.
+# float32, kept against the (4/3) epsilon target, not the sketch's error: it
+# moved x by at most 2.4e-6 at epsilon = 1e-3 on the fuzz test's problems
+# and 2.1e-4 on flat spectra at 0.05, 0.2 and 0.3 % of the target.
 _FLOAT32_EPSILON = 1e-3
 
 
@@ -127,9 +128,9 @@ def approx_truncated_solve(
     ``A A^T`` and its squares ``(A A^T)^(2^j)``, for
     ``O(m^2 n + J m^3 + m^2 (k + s) (p / 2^J + J))`` with J squarings, and
     from about n = 200 on the paper's problems runs that ladder in float32,
-    which moves x by 2e-7 to 5.4e-7 relative there (up to 4e-6 on flatter
-    spectra); where the k-th Ritz residual reads below 1e-5 it runs the walk
-    again in float64 and returns its x (:func:`trunclsq.subspace.approx_truncated_svd`).
+    which moves x by 2e-7 to 5.4e-7 relative there, elsewhere a fraction of
+    the sketch's error; where the k-th Ritz residual reads below 1e-5 it runs
+    the walk again in float64 (:func:`trunclsq.subspace.approx_truncated_svd`).
     Raises :class:`IllConditionedTruncation` when the recovered k-th singular
     value falls below ``SIGMA_RATIO_FLOOR`` times the first.
     """
@@ -188,8 +189,8 @@ def adaptive_truncated_solve(
     ``p`` of the outcome is the number of passes run, and x is the x of
     ``approx_truncated_solve(A, b, k, p, seed)`` to rounding: a checkpoint's
     QR moves it in the last digits, and for ``epsilon >= _FLOAT32_EPSILON``
-    the walk runs its ladder in float32 where that pays, which moves it by
-    up to about 4e-6 relative.  A tied spectrum raises
+    the walk runs its ladder in float32 where that pays, which moves it far
+    inside the target (``_FLOAT32_EPSILON``).  A tied spectrum raises
     :class:`NoSpectralGap`, a cross product of rank below k
     :class:`InvalidTruncation`, and a recovered k-th singular value below
     ``SIGMA_RATIO_FLOOR`` times the first :class:`IllConditionedTruncation`.

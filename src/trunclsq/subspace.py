@@ -24,12 +24,11 @@ trace below one, shrinks the block by about the same factor whatever its
 The walk needs only its block's span, so every QR it takes, the first
 included, is a Cholesky QR of the block's l-by-l Gram (46-79 us on a
 float32 block where Householder took 51-153 us, l = 24, m = 100..500, one
-thread), kept where its own reading lies within the spread limit that keeps
-it exact enough.  The first block, which no reading bounds, is scaled by a
-power of two wherever its Gram would leave float64's range.  A block under
-1.5 l or 64 rows tall, a QR the schedule could not keep within the limit,
-one whose Cholesky fails or reads past it, and every checkpoint's QR, which
-hands a float64 basis to a Ritz step, take numpy's Householder QR.
+thread) wherever the block is at least 64 rows tall and its own reading
+lies within the spread limit that keeps it exact enough; the first block,
+which no reading bounds, is scaled by a power of two wherever its Gram
+would leave float64's range.  Every other QR, and every checkpoint's, which
+hands a float64 basis to a Ritz step, is numpy's Householder QR.
 
 A walk may also run its ladder in float32, whose syrk and gemm OpenBLAS
 runs in 41-67 % of the float64 time, under float32's own spread, drift and
@@ -79,8 +78,9 @@ import numpy as np
 from .linalg import (
     ThinSVD,
     TruncatedFactorization,
-    _GRAM_RANGE,
+    _GRAM_SPREAD,
     _check_level,
+    _gram,
     as_matrix,
     leading_factors,
     qr_factor,
@@ -125,12 +125,12 @@ class _Limits:
 # A Gram pass rounds G = A A^T's entries at about n eps sigma_1^2, which
 # reaches the k-th direction at about n eps (sigma_1/sigma_k)^2 where a
 # two-product pass gives n eps (sigma_1/sigma_k); the walk forms G only where
-# the last QR read a pass spreading the block by at most the Gram limit 1e4,
-# that is sigma_1/sigma_l below about 100 (Halko, Martinsson & Tropp 2011,
-# Sec. 4.5).  A step on the rung G^(2^j) rounds at
+# the last QR read a pass spreading the block by at most thin_svd's Gram
+# bound 1e4, that is sigma_1/sigma_l below about 100 (Halko, Martinsson &
+# Tropp 2011, Sec. 4.5).  A step on the rung G^(2^j) rounds at
 # (sigma_1/sigma_k)^(2^(j+1)), so the walk climbs to it only where its 2^j
 # passes spread the block by at most as much.
-_FLOAT64 = _Limits(spread=1e6, drift=1e100, gram=1e4)
+_FLOAT64 = _Limits(spread=1e6, drift=1e100, gram=1 / _GRAM_SPREAD)
 
 # The same limits for steps on a float32 ladder, whose rounding unit is
 # 6e-8 where float64's is 1.1e-16.  A spread of 1e4 leaves the weakest
@@ -175,18 +175,14 @@ _FIRST_FLOAT32_MARGIN = 2 * _PLANNING_MARGIN
 # reading, whose first interval would otherwise run without a QR.
 _FLOAT64_EDGE = -math.log(np.finfo(np.float64).tiny)
 
-# A Cholesky QR needs a block at least _CHOLESKY_ASPECT times as tall as
-# wide and at least _CHOLESKY_ROWS rows tall; shorter blocks take
-# Householder.  Below 1.5 l rows the l-by-l inverse of L costs about as much
-# as the Gram, and a Cholesky QR of 24 to 48 rows at l = 24 ran 2-7 % dearer
-# than Householder, called alone (one OpenBLAS thread).  Below 64 rows the
-# fixed cost of its five LAPACK and BLAS calls outweighs what it saves: in a
-# loop over the benchmark's certificate solves (m <= 60), where each call
-# finds the other kind's code cold, Cholesky first QRs raised the median
-# approx-to-exact time ratio 2.5 %, and with both limits it stayed within
-# 1 % of walks whose first QR is Householder.  From m = 100 on, the paper's
-# sizes, a Cholesky QR costs about half of Householder's.
-_CHOLESKY_ASPECT = 1.5
+# A Cholesky QR needs a block at least _CHOLESKY_ROWS rows tall; shorter
+# blocks take Householder.  Below 64 rows the fixed cost of its five LAPACK
+# and BLAS calls outweighs what it saves: in a loop over the benchmark's
+# certificate solves (m <= 60), where each call finds the other kind's code
+# cold, Cholesky first QRs raised the median approx-to-exact time ratio
+# 2.5 %, and with this limit it stayed within 1 % of walks whose first QR is
+# Householder.  From m = 100 on, the paper's sizes, a Cholesky QR costs about
+# half of Householder's.
 _CHOLESKY_ROWS = 64
 
 # One Cholesky QR of a float32 m-by-l block, its Gram formed in float64,
@@ -281,28 +277,25 @@ def _cholesky_qr(Yt: np.ndarray, spread: float) -> tuple[np.ndarray, float, floa
     arithmetic; None where it does not apply.
 
     ``L = cholesky(Y^T Y)`` of the l-by-l Gram, formed in float64 whatever
-    the block's precision, gives the block ``inv(L) Y^T`` in the block's
-    precision.  It keeps the block's span, and its rows orthonormal to about
-    ``kappa^2 u``, while ``kappa^2 u < 1`` (Fukaya, Nakatsukasa, Yanagisawa &
-    Yamamoto 2014): the float64 spread limit 1e6 holds that at about 1e-4,
-    float32's 1e4 at about 1e-8.  A Gram whose largest diagonal entry leaves
-    ``_GRAM_RANGE`` is formed again on the block scaled by the power of two
+    the block's precision (:func:`trunclsq.linalg._gram`), gives the block
+    ``inv(L) Y^T`` in the block's precision.  It keeps the block's span, and
+    its rows orthonormal to about ``kappa^2 u``, while ``kappa^2 u < 1``
+    (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto 2014): the float64 spread
+    limit 1e6 holds that at about 1e-4, float32's 1e4 at about 1e-8.  A Gram
+    out of range is formed again on the block scaled by the power of two
     that brings its largest entry into [0.5, 1): exact, so only the drift
     reading moves, by the known exponent.  Only the walk's first block,
     which no reading bounds, leaves that range: its entries scale like
-    ``sigma^3``, 2^+-900 for A scaled by 2^+-300, where an unscaled Gram
+    ``sigma^3``, 2^+-900 for A scaled by 2^+-300, whose unscaled Gram
     overflows, or underflows to a factor that can pass the spread check.
-    It returns None on a block under ``_CHOLESKY_ASPECT`` times as tall as
-    wide or under ``_CHOLESKY_ROWS`` rows, where it is dearer than
-    Householder, on a Gram that is not positive definite, and where
-    ``diag L`` reads a log spread past ``spread`` (or NaN)."""
-    width, m = Yt.shape
-    if m < max(_CHOLESKY_ASPECT * width, _CHOLESKY_ROWS):
+    It returns None on a block under ``_CHOLESKY_ROWS`` rows, on a Gram that
+    is not positive definite, and where ``diag L`` reads a log spread past
+    ``spread`` (or NaN)."""
+    if Yt.shape[1] < _CHOLESKY_ROWS:
         return None
     B = Yt.astype(np.float64, copy=False)
-    with np.errstate(over="ignore", under="ignore"):  # caught by the range check
-        G, exponent = B @ B.T, 0
-    if not _GRAM_RANGE[0] <= G.diagonal().max() <= _GRAM_RANGE[1]:  # also on NaN
+    G, exponent = _gram(B), 0
+    if G is None:
         exponent = int(np.frexp(max(B.max(), -B.min()))[1])
         B = np.ldexp(B, -exponent)
         G = B @ B.T
@@ -310,27 +303,22 @@ def _cholesky_qr(Yt: np.ndarray, spread: float) -> tuple[np.ndarray, float, floa
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         return None
-    logs = np.log(L.diagonal())
-    if exponent:
-        logs += exponent * math.log(2)
-    reading = _reading(logs)
+    reading = _reading(np.log(L.diagonal()) + exponent * math.log(2))
     if not reading[0] <= spread:
         return None
     return (np.linalg.inv(L) @ B).astype(Yt.dtype, copy=False), *reading
 
 
-def _orthonormalize(Yt: np.ndarray, passes: float, steps: float,
-                    cholesky: bool) -> tuple[np.ndarray, float, float]:
+def _orthonormalize(Yt: np.ndarray, passes: float, steps: float) -> tuple[np.ndarray, float, float]:
     """A row block with orthonormal rows spanning the rows of ``Y^T``, and
     what ``|diag R|`` of Y's QR reads after ``passes`` passes in ``steps``
     steps since the last QR: the log spread ``ln(max/min |R_ii|)`` per pass
     and the drift ``max |ln |R_ii||`` per step.
 
-    With ``cholesky`` it takes :func:`_cholesky_qr` within the float64
-    spread limit, all the walk needs being the block's span; where that
-    returns None, and on every other call, numpy's Householder QR, which
+    It takes :func:`_cholesky_qr` within the float64 spread limit, all the
+    walk needs being the block's span, else numpy's Householder QR, which
     completes a rank-deficient block with orthonormal rows."""
-    found = _cholesky_qr(Yt, _FLOAT64.spread) if cholesky else None
+    found = _cholesky_qr(Yt, _FLOAT64.spread)
     if found is None:
         Q, R = np.linalg.qr(Yt.T)
         found = Q.T, *_reading(np.log(np.maximum(np.abs(R.diagonal()), np.finfo(np.float64).tiny)))
@@ -376,8 +364,8 @@ def _climbs(A: np.ndarray, width: int, j: int, spread: float, left: int, beyond:
 
 
 def _float32_pays(A: np.ndarray, width: int, spread: float, left: int) -> bool:
-    """Whether a walk about to form G for a ladder that serves ``left``
-    passes forms it in float32.  The walk plans float64's ladder: the
+    """Whether a walk that :func:`_climbs` lets form G for a ladder serving
+    ``left`` passes forms it in float32.  The walk plans float64's ladder: the
     highest rung ``top`` that :func:`_climbs` reaches under float64's Gram
     limit with those passes, were every bit of them set.  float32's Gram
     limit must admit that rung, and so every rung below it: a spread too
@@ -390,7 +378,7 @@ def _float32_pays(A: np.ndarray, width: int, spread: float, left: int) -> bool:
     top = 0
     while spread * (2 << top) <= _FLOAT64.gram and (left >> (top + 1)) * 2 * width >= m:
         top += 1
-    if not _climbs(A, width, 0, spread * (1 << top), left, 0, _FLOAT32, False):
+    if spread * (1 << top) > _FLOAT32.gram:
         return False
     ladder = m * m * n + top * m**3 + 2 * m * m * width * (left >> top)
     return ladder >= 2 * _FLOAT32_QRS * (_QR_FLOPS[0] + _QR_FLOPS[1] * m * width**2)
@@ -420,13 +408,12 @@ def _walk(A: np.ndarray, Yt: np.ndarray, depth: int, ladder: _Ladder, *, passes:
     steps their drift is planned on the bound trace scaling gives: a rung's
     largest eigenvalue is at least ``1/(2m)``, so a step shrinks the
     strongest column by at most ``2m``, the weakest by that and its spread.
-    Every QR, the first included, is a Cholesky QR where the reading
-    leaves it within float64's spread limit or no QR has read the block yet
-    (:func:`_orthonormalize`).  With ``float32``, G
-    and the ladder are formed in float32 where :func:`_float32_pays` and
-    planned under ``_FLOAT32``, the first interval at ``_FIRST_FLOAT32_MARGIN``
-    on its float64 reading.  A tall A runs two-product passes only: its G
-    would be larger than A, so :func:`_climbs` is not asked."""
+    Every QR, the first included, is :func:`_orthonormalize`'s.  With
+    ``float32``, G and the ladder are formed in float32 where
+    :func:`_float32_pays` and planned under ``_FLOAT32``, the first interval
+    at ``_FIRST_FLOAT32_MARGIN`` on its float64 reading.  A tall A runs
+    two-product passes only: its G would be larger than A, so
+    :func:`_climbs` is not asked."""
     width, shrink, tall = Yt.shape[0], math.log(2 * A.shape[0]), A.shape[0] > A.shape[1]
     steps, run, level = passes, 0, 0 if ladder.rungs else -1
     while run < depth:
@@ -446,9 +433,7 @@ def _walk(A: np.ndarray, Yt: np.ndarray, depth: int, ladder: _Ladder, *, passes:
         per_step = shrink + step * ladder.spread if ladder.drift is None else ladder.drift
         if passes >= 1 and ((passes + step) * ladder.margin * ladder.spread > ladder.limits.spread
                             or (steps + 1) * per_step > ladder.limits.drift):
-            cholesky = (ladder.spread == math.inf
-                        or passes * ladder.margin * ladder.spread <= _FLOAT64.spread)
-            Yt, ladder.spread, ladder.drift = _orthonormalize(Yt, passes, steps, cholesky)
+            Yt, ladder.spread, ladder.drift = _orthonormalize(Yt, passes, steps)
             ladder.readable = ladder.drift * steps < _FLOAT64_EDGE
             passes, steps, ladder.margin = 0, 0, _PLANNING_MARGIN
             continue
@@ -458,6 +443,13 @@ def _walk(A: np.ndarray, Yt: np.ndarray, depth: int, ladder: _Ladder, *, passes:
             Yt = Yt.astype(ladder.rungs[level].dtype, copy=False) @ ladder.rungs[level]
         run, passes, steps = run + step, passes + step, steps + 1
     return Yt
+
+
+def _rounds_at_float32(dtype: type) -> bool:
+    """Whether the precision knob ``dtype``, float64 or float32, asks for float32."""
+    if np.dtype(dtype) not in (np.float64, np.float32):
+        raise ValueError(f"the walk rounds at float64 or float32, got {np.dtype(dtype)}")
+    return np.dtype(dtype) == np.float32
 
 
 def power_product(A: np.ndarray, S: np.ndarray, p: int, *, dtype: type = np.float64) -> np.ndarray:
@@ -475,11 +467,7 @@ def power_product(A: np.ndarray, S: np.ndarray, p: int, *, dtype: type = np.floa
         raise ValueError(
             f"sketch must have {A.shape[1]} rows to match the matrix columns, got {S.shape[0]}"
         )
-    dtype = np.dtype(dtype)
-    if dtype not in (np.float64, np.float32):
-        raise ValueError(f"the walk rounds at float64 or float32, got {dtype}")
-    return _walk(A, S.T @ A.T, p, _Ladder(A), passes=0.5,
-                 float32=dtype == np.float32).T
+    return _walk(A, S.T @ A.T, p, _Ladder(A), passes=0.5, float32=_rounds_at_float32(dtype)).T
 
 
 def power_basis_from_sketch(A: np.ndarray, S: np.ndarray, p: int, *,
@@ -508,11 +496,10 @@ def power_basis(A: np.ndarray, k: int, p: int, seed: RngSeed, *,
     power-iteration passes on a seeded Gaussian sketch.
 
     The sketch is n-by-l with ``l = min(k + 4, m, n)``; the basis is
-    :func:`power_basis_from_sketch` of it, with ``dtype`` passed on.
+    :func:`power_basis_from_sketch` of it, with ``dtype`` and p passed on.
     """
     A = as_matrix(A, "A")
     k = _check_level(k, *A.shape)
-    p = _validate_depth(p)
     S = gaussian_matrix(A.shape[1], _sketch_width(A, k), seed)
     return power_basis_from_sketch(A, S, p, dtype=dtype)
 
@@ -550,7 +537,8 @@ def approx_truncated_svd(A: np.ndarray, k: int, p: int, seed: RngSeed) -> Trunca
     k raises :class:`InvalidTruncation`.
 
     The basis is asked for in float32, which moves x by 2e-7 to 5.4e-7
-    relative on the paper's problems, up to 4e-6 on flatter spectra.  Where
+    relative on the paper's problems, and by at most 3.2e-4 of the sketch's
+    own error on the differential fuzz test, flat spectra included.  Where
     the walk ran in float32, the factorization is kept only if the k-th Ritz
     pair's relative residual ``||A v_k - sigma_k u_k|| / sigma_k`` reads at
     least ``_RESIDUAL_FLOOR``; below it the walk runs again in float64.
@@ -573,19 +561,20 @@ def ritz_checkpoints(
     ``(p, ritz, fact)`` of :func:`ritz_factorization` at p = 0, then at the
     depth of each ``(depth, plan)`` sent back, ``p < depth <= plan``.
 
-    Each segment resumes from the basis Q the last checkpoint took with a
-    float64 Householder QR, which keeps the span (Alg. 4.4), on the rungs
-    and reading earlier segments left; its first two-product pass reuses
-    the checkpoint's ``Q^T A``.  It plans its Gram ladder, in float32 with
-    ``dtype=np.float32`` where that pays, to serve the passes up to plan.
+    Each segment resumes from the basis Q the last checkpoint took with the
+    fixed-depth path's float64 Householder QR, :func:`qr_factor`, which
+    keeps the span (Alg. 4.4), on the rungs and reading earlier segments
+    left; its first two-product pass reuses the checkpoint's ``Q^T A``.  It
+    plans its Gram ladder, in float32 with ``dtype=np.float32`` where that
+    pays, to serve the passes up to plan.
     """
     A = as_matrix(A, "A")
     k = _check_level(k, *A.shape)
+    float32 = _rounds_at_float32(dtype)
     S = gaussian_matrix(A.shape[1], _sketch_width(A, k), seed)
-    ladder, float32 = _Ladder(A), np.dtype(dtype) == np.float32
-    Yt, p = S.T @ A.T, 0
+    ladder, Yt, p = _Ladder(A), S.T @ A.T, 0
     while True:
-        Q = np.linalg.qr(Yt.T.astype(np.float64, copy=False))[0]
+        Q = qr_factor(Yt.T)[0]
         QtA = Q.T @ A
         depth, plan = yield (p, *_ritz_step(Q, QtA, k))
         Yt = _walk(A, Q.T, depth - p, ladder, beyond=plan - depth, float32=float32, QtA=QtA)

@@ -1,5 +1,7 @@
 """Dense linear-algebra kernels: factorizations, norms, truncation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,13 +15,14 @@ from helpers import (
 from trunclsq import (
     InvalidTruncation,
     ZeroMatrix,
+    exact_truncated_solve,
     pseudo_inverse,
     qr_factor,
     reconstruct,
     spectral_norm,
     thin_svd,
 )
-from trunclsq.linalg import SVD_RANK_FACTOR, as_matrix, as_vector, leading_factors
+from trunclsq.linalg import SVD_RANK_FACTOR, _gram, as_matrix, as_vector, leading_factors
 
 
 class TestValidation:
@@ -138,6 +141,16 @@ class TestThinSvd:
         with pytest.raises(ZeroMatrix):
             thin_svd(np.zeros((3, 3)))
 
+    def test_overflowing_singular_values_are_not_a_zero_matrix(self):
+        # sigma_1 = 2e308 overflows to inf, and so would the rank cutoff:
+        # the matrix is huge, not zero, and both calls say so.
+        M = np.full((2, 2), 1e308)
+        with pytest.raises(ValueError, match="overflows float64") as raised:
+            thin_svd(M)
+        assert not isinstance(raised.value, ZeroMatrix)
+        with pytest.raises(ValueError, match="overflows float64"):
+            exact_truncated_solve(M, np.ones(2), 1)
+
     def test_reconstruction_invariant(self):
         rng = np.random.default_rng(22)
         M = rng.standard_normal((6, 4))
@@ -254,6 +267,22 @@ class TestThinSvd:
         assert G.rank == F.rank
         assert np.array_equal(G.U, F.U) and np.array_equal(G.V, F.V)
         assert np.array_equal(G.sigma, F.sigma)
+
+    def test_gram_kernel_keeps_an_in_range_block_bitwise(self):
+        B = np.random.default_rng(34).standard_normal((24, 300))
+        assert np.array_equal(_gram(B), B @ B.T)
+
+    @pytest.mark.parametrize("B", [
+        1e200 * np.random.default_rng(35).standard_normal((12, 64)),
+        np.zeros((3, 5)),
+    ], ids=["overflows-mixed-sign", "all-zero"])
+    def test_gram_kernel_refuses_a_block_out_of_range(self, B):
+        # Some of the mixed-sign block's dot products read inf - inf (with
+        # OpenBLAS, a 12-row block's do); no warning reaches the caller,
+        # since the range check catches the NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _gram(B) is None
 
     def test_gram_route_rejects_a_zero_matrix(self):
         with pytest.raises(ZeroMatrix, match="all-zero 3x5"):

@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,6 +24,7 @@ from trunclsq import (
     adaptive_truncated_solve,
     approx_truncated_solve,
     approx_truncated_svd,
+    exact_truncated_solve,
     gaussian_matrix,
     power_basis,
     power_basis_from_sketch,
@@ -253,13 +255,13 @@ def instrument_qrs(monkeypatch):
         householder[0] += 1
         return real_qr(*args, **kwargs)
 
-    def reading(Yt, passes, steps, cholesky):
+    def reading(Yt, passes, steps):
         R = real_qr(Yt.T.astype(np.float64), mode="r")
         logs = np.log(np.maximum(np.abs(np.diag(R)), np.finfo(np.float64).tiny))
         limits = subspace_module._FLOAT32 if Yt.dtype == np.float32 else subspace_module._FLOAT64
         excess = max(logs.max() - logs.min() - limits.spread, np.abs(logs).max() - limits.drift)
         before = householder[0]
-        result = real(Yt, passes, steps, cholesky)
+        result = real(Yt, passes, steps)
         record.append(SimpleNamespace(passes=passes, excess=excess, dtype=Yt.dtype,
                                       householder=householder[0] > before))
         return result
@@ -400,26 +402,36 @@ class TestCholeskyQR:
             assert np.all(np.isfinite(Q))
             assert np.max(np.abs(Q.T @ Q - np.eye(Q.shape[1]))) <= 1e-12
 
-    def test_a_failed_cholesky_falls_back_to_householder(self):
+    def test_a_failed_cholesky_falls_back_to_householder(self, monkeypatch):
+        # Blocks tall enough to try the Cholesky QR: a zero block and a
+        # rank-deficient one fail it, one spread by 1e8 reads past the limit.
         rng = np.random.default_rng(92)
-        for Yt in (np.zeros((4, 30)), rank_k_matrix(rng, 4, 30, 2),
-                   np.diag([1.0, 1e-8, 1.0, 1.0]) @ rng.standard_normal((4, 30))):
-            Qt, spread, drift = subspace_module._orthonormalize(Yt, 2, 2, True)
+        blocks = (np.zeros((4, 100)), rank_k_matrix(rng, 4, 100, 2),
+                  np.diag([1.0, 1e-8, 1.0, 1.0]) @ rng.standard_normal((4, 100)))
+        calls = count_linalg_calls(monkeypatch, "qr")
+        for householder, Yt in enumerate(blocks, start=1):
+            Qt, spread, drift = subspace_module._orthonormalize(Yt, 2, 2)
+            assert calls["qr"] == householder
             assert np.all(np.isfinite(Qt)) and spread >= 0 and drift >= 0
             assert np.max(np.abs(Qt @ Qt.T - np.eye(4))) <= 1e-14
 
-    def test_cholesky_reads_what_householder_reads(self):
+    def test_cholesky_reads_what_householder_reads(self, monkeypatch):
         # diag L of the Gram's Cholesky factor is |diag R| in exact
-        # arithmetic; a float32 block's Gram is formed in float64.
+        # arithmetic; a float32 block's Gram is formed in float64.  The
+        # Householder reading is taken in float64 on the same block.
         rng = np.random.default_rng(93)
         Yt = np.diag(np.logspace(0, -5, 24)) @ rng.standard_normal((24, 300))
+        calls = count_linalg_calls(monkeypatch, "qr")
         for block in (Yt, Yt.astype(np.float32)):
-            cholesky = subspace_module._orthonormalize(block, 3, 2, True)
-            householder = subspace_module._orthonormalize(block, 3, 2, False)
-            assert cholesky[0].dtype == householder[0].dtype == block.dtype
+            before = calls["qr"]
+            cholesky = subspace_module._orthonormalize(block, 3, 2)
+            assert calls["qr"] == before and cholesky[0].dtype == block.dtype
+            R = np.linalg.qr(block.T.astype(np.float64), mode="r")
+            logs = np.log(np.abs(np.diag(R)))
+            householder = ((logs.max() - logs.min()) / 3, np.abs(logs).max() / 2)
             # diag L carries the Gram's rounding, about kappa^2 u = 1e-6
             # relative on the weakest column.
-            assert_allclose(cholesky[1:], householder[1:], rtol=0, atol=1e-6)
+            assert_allclose(cholesky[1:], householder, rtol=0, atol=1e-6)
             Qt = cholesky[0].astype(np.float64)
             atol = 1e-6 if block.dtype == np.float32 else 1e-10
             assert np.max(np.abs(Qt @ Qt.T - np.eye(24))) <= atol
@@ -427,14 +439,14 @@ class TestCholeskyQR:
             assert projection_distance_oracle(Qt.T, Q) <= atol
 
     def test_short_blocks_take_householder(self, qr_walk):
-        # A Cholesky QR is dearer than Householder on a block under 1.5 l
-        # rows, as on the certificate-shaped 30-by-28 A sketched 24 wide, and
-        # on one under 64 rows, as on the 60-by-16 A sketched 14 wide: every
-        # QR of their walks, the first included, is Householder.  At 72 rows,
-        # 1.5 times the sketch width 48, every one is a Cholesky QR.
+        # A Cholesky QR is dearer than Householder on a block under 64 rows,
+        # as on the certificate-shaped 30-by-28 A sketched 24 wide and the
+        # 60-by-16 A sketched 14 wide: every QR of their walks, the first
+        # included, is Householder.  From 64 rows on every one is a Cholesky
+        # QR, at 71 and 72 rows under the sketch width 48 included.
         rng = np.random.default_rng(94)
         for m, n, k, householder in ((30, 28, 20, True), (60, 16, 10, True),
-                                     (71, 80, 44, True), (72, 80, 44, False),
+                                     (71, 80, 44, False), (72, 80, 44, False),
                                      (100, 80, 20, False)):
             A = rng.standard_normal((m, n))
             qrs = qr_walk(power_basis, A, k, 6, RngSeed(95))
@@ -661,6 +673,14 @@ class TestRitzCheckpoints:
         for (_, ritz, _), (_, exact, _) in zip(steps, reference):
             assert_allclose(ritz.sigma, exact.sigma, rtol=0, atol=1e-6 * exact.sigma[0])
 
+    def test_rejects_a_precision_the_walk_does_not_round_at(self):
+        # The same knob, checked once for both walks.
+        walk = subspace_module.ritz_checkpoints(np.eye(3), 1, RngSeed(83), dtype=np.float16)
+        for call in (lambda: next(walk),
+                     lambda: power_product(np.eye(3), np.eye(3), 1, dtype=np.float16)):
+            with pytest.raises(ValueError, match="float64 or float32, got float16"):
+                call()
+
 
 class TestPowerBasisFromSketch:
     def test_identity_matrix_preserves_sketch_span(self):
@@ -826,3 +846,78 @@ class TestRitzRoute:
         for case, x in zip(ritz_cases, x_gram):
             x_lapack = approx_truncated_solve(*case).x
             assert np.linalg.norm(x - x_lapack) <= 1e-12 * np.linalg.norm(x_lapack)
+
+
+FUZZ_SPECTRA = ("paper", "geometric", "clustered", "rank-deficient", "flat")
+
+
+def fuzz_problem(kind: str, j: int):
+    """The j-th seeded differential-fuzz problem of one spectrum kind:
+    ``(A, b, k, p, seed)``.  A is square, wide or tall in turn, with m and n
+    from 60 to 400, k from 1 to 38 and p from 0 to 79, and its singular
+    values are paper-like (a Gaussian matrix's, the tail scaled to gap 0.99
+    at k), geometric down to 1e-14, clustered (head and tail each within
+    1e-3, gap 0.3 to 0.9), of rank k to k + 7, or flat (within 1 %).  Three
+    in ten are scaled by 2^+-(177..300), where an unscaled first Gram
+    overflows."""
+    rng = np.random.default_rng([97, FUZZ_SPECTRA.index(kind), j])
+    small, large = sorted(int(v) for v in rng.integers(60, 401, size=2))
+    m, n = ((large, large), (small, large), (large, small))[j % 3]
+    r, k, p = min(m, n), int(rng.integers(1, 39)), int(rng.integers(0, 80))
+    if kind == "paper":
+        sigma = np.linalg.svd(rng.standard_normal((m, n)), compute_uv=False)
+        sigma[k:] *= 0.99 * sigma[k - 1] / sigma[k]
+    elif kind == "geometric":
+        sigma = np.logspace(0.0, -14.0, r)
+    elif kind == "clustered":
+        gap = rng.uniform(0.3, 0.9)
+        sigma = np.concatenate([1.0 + 1e-3 * np.sort(rng.random(k))[::-1],
+                                gap * (1.0 + 1e-3 * np.sort(rng.random(r - k))[::-1])])
+    elif kind == "rank-deficient":
+        rank = int(rng.integers(k, min(k + 8, r) + 1))
+        sigma = np.concatenate([np.sort(rng.uniform(0.5, 1.0, rank))[::-1], np.zeros(r - rank)])
+    else:
+        sigma = 1.0 + 1e-2 * np.sort(rng.random(r))[::-1]
+    A = (random_orthonormal(rng, m, r) * sigma) @ random_orthonormal(rng, n, r).T
+    if rng.random() < 0.3:
+        A *= 2.0 ** (int(rng.choice([-1, 1])) * int(rng.integers(177, 301)))
+    return A, rng.standard_normal(m), k, p, RngSeed(97, 16 * FUZZ_SPECTRA.index(kind) + j)
+
+
+def assert_near_reference(x, reference, exact, floor=1e-10):
+    """x is finite and moved from the reference solve by at most a hundredth
+    of the reference's own error against the exact solve, or ``floor``,
+    relative."""
+    error = np.linalg.norm(reference - exact) / np.linalg.norm(exact)
+    assert np.all(np.isfinite(x))
+    assert np.linalg.norm(x - reference) <= max(1e-2 * error, floor) * np.linalg.norm(reference)
+
+
+class TestDifferentialFuzz:
+    """Every fast route of the shipped solves (the Gram ladder, float32,
+    Cholesky QRs, the rescaled first Gram, the Gram Ritz step) against
+    :func:`reference_solve` on the same sketch, 16 problems per spectrum,
+    with every warning an error.  On these 80 problems the fixed-depth
+    solve moved x by at most 0.032 of its bound, a kept float32 walk by at
+    most 3.2e-4 of the sketch's own error, and the adaptive solve by at most
+    0.24 of its bound."""
+
+    @pytest.mark.parametrize("kind", FUZZ_SPECTRA)
+    def test_solves_stay_near_the_plain_reference(self, kind):
+        for j in range(16):
+            A, b, k, p, seed = fuzz_problem(kind, j)
+            exact = exact_truncated_solve(A, b, k).x
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                x = approx_truncated_solve(A, b, k, p, seed).x
+                assert_near_reference(x, reference_solve(A, b, k, p, seed), exact)
+                # A flat spectrum's Ritz values cap the adaptive depth at
+                # thousands of passes, too many for the reference's QR a
+                # pass.  At epsilon >= 1e-3 the adaptive walk keeps its
+                # float32 ladder against the (4/3) epsilon target, not the
+                # sketch's error, so it may move x by a hundredth of epsilon.
+                if kind != "flat":
+                    epsilon = (1e-4, 1e-3, 0.05)[j % 3]
+                    adaptive = adaptive_truncated_solve(A, b, k, epsilon, 0.1, seed)
+                    assert_near_reference(adaptive.x, reference_solve(A, b, k, adaptive.p, seed),
+                                          exact, floor=1e-2 * epsilon if epsilon >= 1e-3 else 1e-10)
