@@ -41,7 +41,7 @@ from .linalg import (
     thin_svd,
 )
 from .sketch import RngSeed
-from .subspace import approx_truncated_svd, ritz_checkpoints
+from .subspace import _spans_range, approx_truncated_svd, ritz_checkpoints
 
 __all__ = [
     "SolveOutcome",
@@ -123,7 +123,9 @@ def approx_truncated_solve(
 
     Uses the sketched rank-k factorization after p power-iteration passes;
     the cost is dominated by ``O(m n (k + s) (p + 1))`` multiply-adds, with
-    ``s = 4`` oversampling columns, instead of a full SVD.  On a square or
+    ``s = 4`` oversampling columns, instead of a full SVD, except where
+    ``k + s >= min(m, n)``: there the sketch would span A's whole range, and
+    the solve costs one thin SVD of A, whatever p.  On a square or
     wide A whose head is not too spread, a deep solve runs its passes on
     ``A A^T`` and its squares ``(A A^T)^(2^j)``, for
     ``O(m^2 n + J m^3 + m^2 (k + s) (p / 2^J + J))`` with J squarings, and
@@ -184,7 +186,10 @@ def adaptive_truncated_solve(
       :func:`trunclsq.bounds.choose_power_depth`;
     * the depth reaches that function's worst-case rule for
       ``(epsilon, delta)``, evaluated on the current Ritz values at every
-      solve; every checkpoint is clamped to it.
+      solve; every checkpoint is clamped to it;
+    * the sketch is as wide as A's short side, ``l = min(m, n)``, where it
+      stops at p = 0: its basis spans all of A's range at every depth, so no
+      later checkpoint can move x beyond rounding.
 
     ``p`` of the outcome is the number of passes run, and x is the x of
     ``approx_truncated_solve(A, b, k, p, seed)`` to rounding: a checkpoint's
@@ -211,7 +216,7 @@ def adaptive_truncated_solve(
             change, last_change = _relative_change(x, previous), change
             if last_change is not None and _settled(change, last_change, length / last, epsilon):
                 break
-        if p >= cap:
+        if p >= cap or _spans_range(A, k):
             break
         depth = _next_checkpoint(p, cap)
         last, length = length, depth - p

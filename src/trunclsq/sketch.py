@@ -66,6 +66,12 @@ def _standard_normals(count: int, seed: RngSeed) -> np.ndarray:
     return z[:count]
 
 
+def _check_seed(seed: object) -> None:
+    """Refuse anything but an :class:`RngSeed` with ``ValueError``."""
+    if not isinstance(seed, RngSeed):
+        raise ValueError(f"seed must be an RngSeed, got {type(seed).__name__}")
+
+
 def gaussian_matrix(rows: int, cols: int, seed: RngSeed) -> np.ndarray:
     """``rows``-by-``cols`` matrix of i.i.d. standard normals, deterministic
     per seed, filled in column-major order."""
@@ -73,8 +79,7 @@ def gaussian_matrix(rows: int, cols: int, seed: RngSeed) -> np.ndarray:
     cols = int(cols)
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    if not isinstance(seed, RngSeed):
-        raise ValueError(f"seed must be an RngSeed, got {type(seed).__name__}")
+    _check_seed(seed)
     values = _standard_normals(rows * cols, seed)
     return values.reshape((rows, cols), order="F")
 

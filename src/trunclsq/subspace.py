@@ -56,7 +56,12 @@ and otherwise Householder's, which completes a rank-deficient iterate with
 orthonormal columns.  One Ritz step, :func:`ritz_factorization`, turns any
 such basis into a rank-k factorization (Alg. 5.1): the thin SVD of the
 small l-by-n cross product ``Q^T A``, whose k leading triples, lifted by Q,
-are the rank-k truncation of the projected matrix ``Q Q^T A``.  It takes
+are the rank-k truncation of the projected matrix ``Q Q^T A``.  Where the
+sketch is as wide as A's short side, ``l = min(m, n)``, Q spans all of A's
+range at every depth, a rank-deficient A's included, so ``Q Q^T A = A`` and
+the sketch, the passes and their QRs change nothing the Ritz step sees:
+:func:`approx_truncated_svd` then skips them and takes the Ritz step on A
+itself, and the adaptive solve stops at its first checkpoint.  It takes
 them through :func:`trunclsq.linalg.leading_factors`, so fewer than k
 numerically nonzero singular values raise :class:`InvalidTruncation`, as in
 the exact solve.  The SVD goes through ``eigh`` of the l-by-l row Gram of
@@ -86,7 +91,7 @@ from .linalg import (
     qr_factor,
     thin_svd,
 )
-from .sketch import RngSeed, gaussian_matrix
+from .sketch import RngSeed, _check_seed, gaussian_matrix
 
 __all__ = [
     "power_product",
@@ -219,8 +224,17 @@ def _validate_depth(p: int) -> int:
     return p
 
 
-def _sketch_width(A: np.ndarray, k: int) -> int:
-    return min(k + _OVERSAMPLING, *A.shape)
+def _sketch_width(shape: tuple[int, ...], k: int) -> int:
+    return min(k + _OVERSAMPLING, *shape)
+
+
+def _spans_range(A: np.ndarray, k: int) -> bool:
+    """Whether the sketch for level k is as wide as A's short side,
+    ``l = min(m, n)``, so that its basis Q spans all of A's range at every
+    depth and ``Q Q^T A = A``.  It reads A's shape only, and validates
+    nothing: A that is not 2-D is left to the range finder to refuse."""
+    shape = np.shape(A)
+    return len(shape) == 2 and _sketch_width(shape, int(k)) == min(shape)
 
 
 def _rung(M: np.ndarray) -> np.ndarray:
@@ -500,7 +514,7 @@ def power_basis(A: np.ndarray, k: int, p: int, seed: RngSeed, *,
     """
     A = as_matrix(A, "A")
     k = _check_level(k, *A.shape)
-    S = gaussian_matrix(A.shape[1], _sketch_width(A, k), seed)
+    S = gaussian_matrix(A.shape[1], _sketch_width(A.shape, k), seed)
     return power_basis_from_sketch(A, S, p, dtype=dtype)
 
 
@@ -521,10 +535,14 @@ def ritz_factorization(A: np.ndarray, Q: np.ndarray,
     return _ritz_step(Q, Q.T @ A, k)
 
 
-def _ritz_step(Q: np.ndarray, QtA: np.ndarray, k: int) -> tuple[ThinSVD, TruncatedFactorization]:
+def _ritz_step(Q: np.ndarray | None, QtA: np.ndarray,
+               k: int) -> tuple[ThinSVD, TruncatedFactorization]:
+    """The Ritz step on ``Q^T A``; ``Q=None`` stands for the identity, a
+    step on A itself."""
     ritz = thin_svd(QtA, gram=True)
     head = leading_factors(ritz, k)
-    return ritz, TruncatedFactorization(U=Q @ head.U, sigma=head.sigma, V=head.V, k=head.k,
+    U = head.U if Q is None else Q @ head.U
+    return ritz, TruncatedFactorization(U=U, sigma=head.sigma, V=head.V, k=head.k,
                                         kind="approximate")
 
 
@@ -536,6 +554,14 @@ def approx_truncated_svd(A: np.ndarray, k: int, p: int, seed: RngSeed) -> Trunca
     ``Q Q^T A`` to working precision; a cross product of numerical rank below
     k raises :class:`InvalidTruncation`.
 
+    Where the sketch is as wide as A's short side, ``l = min(m, n)``, Q
+    spans all of A's range at every depth, so ``Q Q^T A = A``: the call then
+    draws no sketch and runs no walk, and takes the Ritz step on A itself,
+    ``leading_factors(thin_svd(A, gram=True), k)`` tagged
+    ``kind="approximate"``, which moved x at most about 2e-13 relative from
+    the walk's.  It checks A, k, the seed and p first, as the walk would,
+    and raises as the walk would on any of them.
+
     The basis is asked for in float32, which moves x by 2e-7 to 5.4e-7
     relative on the paper's problems, and by at most 3.2e-4 of the sketch's
     own error on the differential fuzz test, flat spectra included.  Where
@@ -543,6 +569,12 @@ def approx_truncated_svd(A: np.ndarray, k: int, p: int, seed: RngSeed) -> Trunca
     pair's relative residual ``||A v_k - sigma_k u_k|| / sigma_k`` reads at
     least ``_RESIDUAL_FLOOR``; below it the walk runs again in float64.
     """
+    if _spans_range(A, k):
+        A = as_matrix(A, "A")
+        k = _check_level(k, *A.shape)
+        _check_seed(seed)
+        _validate_depth(p)
+        return _ritz_step(None, A, k)[1]
     Q = power_basis(A, k, p, seed, dtype=np.float32)  # validates A
     A = np.asarray(A, dtype=np.float64)
     fact = ritz_factorization(A, Q, k)[1]
@@ -571,7 +603,7 @@ def ritz_checkpoints(
     A = as_matrix(A, "A")
     k = _check_level(k, *A.shape)
     float32 = _rounds_at_float32(dtype)
-    S = gaussian_matrix(A.shape[1], _sketch_width(A, k), seed)
+    S = gaussian_matrix(A.shape[1], _sketch_width(A.shape, k), seed)
     ladder, Yt, p = _Ladder(A), S.T @ A.T, 0
     while True:
         Q = qr_factor(Yt.T)[0]

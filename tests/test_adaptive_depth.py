@@ -22,6 +22,8 @@ from trunclsq import (
     choose_power_depth,
     exact_truncated_solve,
     gap_profile,
+    gaussian_matrix,
+    gaussian_vector,
     load_vector,
     save_matrix,
     save_vector,
@@ -194,6 +196,21 @@ def test_stops_on_the_fixed_depth_solution_below_the_sketch_width():
     assert relative_error(approx.x, fixed.x) <= 1e-12
     exact = exact_truncated_solve(A, b, 2).x
     np.testing.assert_allclose(approx.x, exact, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape, k", [((50, 20), 17), ((20, 50), 16), ((24, 24), 21)],
+                         ids=["tall", "wide", "square"])
+@pytest.mark.parametrize("epsilon", [0.05, 1e-6])
+def test_stops_at_depth_zero_where_the_sketch_spans_the_whole_range(shape, k, epsilon):
+    # l = min(k + 4, m, n) = min(m, n): the sketch spans A's range at every
+    # depth, so the first checkpoint's x is final.
+    A = gaussian_matrix(*shape, RngSeed(70, k))
+    b = gaussian_vector(shape[0], RngSeed(71, k))
+    approx = adaptive_truncated_solve(A, b, k, epsilon, 0.1, RngSeed(72))
+    assert approx.p == 0
+    fixed = approx_truncated_solve(A, b, k, 0, RngSeed(72)).x
+    assert relative_error(approx.x, fixed) <= 1e-12
+    assert relative_error(approx.x, exact_truncated_solve(A, b, k).x) <= 1e-12
 
 
 @pytest.mark.parametrize("diagonal, k", [([4.0, 3.0, 0.0, 0.0, 0.0, 0.0], 3),
